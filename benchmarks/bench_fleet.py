@@ -1,23 +1,28 @@
-"""Benchmark: ten million requests across a hundred-replica fleet.
+"""Benchmark: the fleet engine in two load regimes, against its gates.
 
-Measures the acceptance scenario of the fleet-scale serving layer
-(:mod:`repro.serving.fleet`): all nine registry workloads served as
-tenants of three homogeneous device groups — 64x 2080ti, 32x orin,
-16x nano — under a saturating open stream. The group-level event loop
-(bulk arrival absorption, replica free-time vectors, dense latency
-tables, completion heap) is what makes this tractable: the classic
-per-slot simulator tops out around 250k simulated req/s
-(``BENCH_serving_mix.json``); the gate here is >= 10x that.
+Measures the fleet-scale serving layer (:mod:`repro.serving.fleet`) on
+all nine registry workloads served as tenants of three homogeneous
+device groups — 64x 2080ti, 32x orin, 16x nano — in two regimes:
 
-Batching is throughput-oriented (fixed 512 per tenant): this bench
-saturates the fleet to measure *engine capacity*; the adaptive policy's
-SLO search dynamics are covered by ``bench_serving_mix.py``.
+* **saturated** — ten million requests at 10M req/s under fixed-512
+  batching. This measures *engine capacity*: bulk arrival absorption,
+  replica free-time vectors, dense latency tables, the completion heap.
+  The classic per-slot simulator tops out around 250k simulated req/s
+  (``BENCH_serving_mix.json``); the gate here is >= 10x that.
+* **slo** — 200k requests at 200k req/s under adaptive 50 ms batching,
+  where every tenant meets its SLO and the mean batch is ~3, so the
+  per-epoch overhead (one epoch per couple of requests) dominates. The
+  classic engine serves the *same* stream on the same 112 devices in
+  the same run (earliest-finish router, the configuration the fleet
+  engine reproduces), and the fleet engine must beat it by
+  ``--slo-speedup``.
 
 Run from the repo root::
 
     python benchmarks/bench_fleet.py [--n-requests 10000000] [-o FILE]
 
-Emits ``BENCH_fleet.json``::
+Emits ``BENCH_fleet.json``: the saturated regime's figures at the top
+level plus an ``slo_regime`` object::
 
     {
       "n_requests": 10000000,
@@ -25,13 +30,16 @@ Emits ``BENCH_fleet.json``::
       "wall_s": ...,
       "simulated_req_per_s": ...,
       "groups_detail": {"2080ti": {"replicas": 64, ...}, ...},
-      "tenants": {"avmnist": {"requests": ..., ...}, ...}
+      "tenants": {"avmnist": {"requests": ..., ...}, ...},
+      "slo_regime": {"fleet_req_per_s": ..., "classic_req_per_s": ...,
+                     "speedup": ..., ...}
     }
 
-Exits non-zero if the simulation exceeds ``--budget`` seconds, falls
-below ``--floor`` simulated requests per second (the CI regression gate
-against reintroducing per-event scans or per-request scatters on the
-hot path), or drops requests (completions must be conserved).
+Exits non-zero if the saturated simulation exceeds ``--budget`` seconds
+or falls below ``--floor`` simulated requests per second, if the
+SLO-meeting regime's fleet/classic speedup falls below
+``--slo-speedup``, or if either regime drops requests (completions must
+be conserved).
 """
 
 from __future__ import annotations
@@ -41,42 +49,39 @@ import json
 import time
 from pathlib import Path
 
-from repro.serving import FixedBatchPolicy, make_tenants, parse_groups, simulate_fleet
+from repro.serving import (
+    AdaptiveSLOPolicy,
+    EarliestFinishRouter,
+    FixedBatchPolicy,
+    make_tenants,
+    parse_groups,
+    simulate_fleet,
+    simulate_mixed,
+)
 from repro.serving.scenarios import scenario_columns
 from repro.workloads.registry import list_workloads
 
 GROUPS = "2080ti:64,orin:32,nano:16"
 SLO = 50e-3
 BATCH = 512
+SLO_RATE = 200_000.0
+SLO_REQUESTS = 200_000
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-requests", type=int, default=10_000_000)
-    parser.add_argument("--arrival-rate", type=float, default=10_000_000.0)
-    parser.add_argument("--scenario", default="heavy-head")
-    parser.add_argument("--groups", default=GROUPS)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=float, default=9.0,
-                        help="maximum acceptable simulation wall time in "
-                             "seconds (CI regression gate)")
-    parser.add_argument("--floor", type=float, default=2_539_870.0,
-                        help="minimum acceptable simulated req/s — 10x the "
-                             "classic simulator's BENCH_serving_mix rate")
-    parser.add_argument("-o", "--output", default="BENCH_fleet.json")
-    args = parser.parse_args(argv)
-
-    groups = parse_groups(args.groups)
-    tenants = make_tenants(
-        list_workloads(),
-        policy_factory=lambda _w: FixedBatchPolicy(BATCH),
-        slo=SLO, seed=args.seed,
-    )
+def build_tenants(policy_factory, groups, seed):
+    tenants = make_tenants(list_workloads(), policy_factory=policy_factory,
+                           slo=SLO, seed=seed)
     # Warm every tenant's anchor curves for every group device so the
-    # timed section measures the event loop, not lazy cost-model fills.
+    # timed sections measure the event loops, not lazy cost-model fills.
     for spec in tenants:
         for group in groups:
             spec.cost.latency(group.device, 1)
+    return tenants
+
+
+def run_saturated(args, groups) -> tuple[dict, list[str]]:
+    tenants = build_tenants(lambda _w: FixedBatchPolicy(BATCH), groups,
+                            args.seed)
     # One small untimed run warms the allocator and the dense latency
     # tables (first-touch page faults otherwise dominate a cold run).
     simulate_fleet(tenants, groups, n_requests=100_000,
@@ -95,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     rate = report.n_requests / wall_s
 
     replicas = sum(g.replicas for g in groups)
-    print(f"{args.scenario}: {report.n_requests:,} requests over "
+    print(f"saturated, {args.scenario}: {report.n_requests:,} requests over "
           f"{len(tenants)} tenants on {len(groups)} groups / "
           f"{replicas} replicas")
     print(f"arrivals generated in {generate_s:.2f}s, "
@@ -121,9 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         for name, stats in report.tenant_stats.items()
     }
-
     payload = {
-        "bench": "fleet",
         "n_requests": report.n_requests,
         "scenario": args.scenario,
         "arrival_rate": args.arrival_rate,
@@ -138,22 +141,124 @@ def main(argv: list[str] | None = None) -> int:
         "groups_detail": groups_detail,
         "tenants": per_tenant,
     }
+
+    failures = []
+    if report.completed != args.n_requests:
+        failures.append(f"saturated: {report.completed:,} of "
+                        f"{args.n_requests:,} requests completed "
+                        "(conservation broken)")
+    if wall_s > args.budget:
+        failures.append(f"saturated: {args.n_requests:,}-request fleet "
+                        f"simulation took {wall_s:.1f}s "
+                        f"(budget {args.budget:.0f}s)")
+    if rate < args.floor:
+        failures.append(f"saturated: {rate:,.0f} simulated req/s is below "
+                        f"the {args.floor:,.0f} floor (10x the classic "
+                        "simulator)")
+    return payload, failures
+
+
+def run_slo(args, groups) -> tuple[dict, list[str]]:
+    tenants = build_tenants(lambda _w: AdaptiveSLOPolicy(SLO), groups,
+                            args.seed)
+    devices = tuple(g.device for g in groups for _ in range(g.replicas))
+
+    def fleet(columns):
+        return simulate_fleet(tenants, groups, columns=columns,
+                              arrival_rate=SLO_RATE, seed=args.seed)
+
+    def classic(requests):
+        return simulate_mixed(tenants, devices=devices, requests=requests,
+                              arrival_rate=SLO_RATE, seed=args.seed,
+                              router=EarliestFinishRouter())
+
+    # Small untimed runs of both engines warm the dense tables and the
+    # policies' drain memos.
+    warm = scenario_columns(args.scenario, tenants, 5_000,
+                            arrival_rate=SLO_RATE, seed=args.seed)
+    fleet(warm)
+    classic(warm.to_requests())
+
+    columns = scenario_columns(args.scenario, tenants, SLO_REQUESTS,
+                               arrival_rate=SLO_RATE, seed=args.seed)
+    requests = columns.to_requests()
+    t0 = time.perf_counter()
+    fleet_report = fleet(columns)
+    fleet_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    classic_report = classic(requests)
+    classic_s = time.perf_counter() - t0
+
+    fleet_rate = fleet_report.n_requests / fleet_s
+    classic_rate = classic_report.n_requests / classic_s
+    speedup = fleet_rate / classic_rate
+    attainment = min(s.slo_attainment for s in fleet_report.tenant_stats.values())
+    mean_batch = fleet_report.n_requests / sum(
+        s.batches for s in fleet_report.group_stats.values())
+    print(f"slo, {args.scenario}: {SLO_REQUESTS:,} requests at "
+          f"{SLO_RATE:,.0f} req/s, adaptive {SLO * 1e3:g} ms, "
+          f"mean batch {mean_batch:.1f}, worst tenant SLO attainment "
+          f"{attainment:.1%}")
+    print(f"fleet {fleet_s:.2f}s ({fleet_rate:,.0f} req/s), classic "
+          f"{classic_s:.2f}s ({classic_rate:,.0f} req/s): {speedup:.2f}x")
+    payload = {
+        "n_requests": SLO_REQUESTS,
+        "arrival_rate": SLO_RATE,
+        "policy": f"adaptive({SLO:g}s)",
+        "mean_batch": round(mean_batch, 2),
+        "min_slo_attainment": attainment,
+        "p99_latency_s": fleet_report.p99_latency,
+        "classic_p99_latency_s": classic_report.p99_latency,
+        "fleet_wall_s": round(fleet_s, 3),
+        "classic_wall_s": round(classic_s, 3),
+        "fleet_req_per_s": round(fleet_rate),
+        "classic_req_per_s": round(classic_rate),
+        "speedup": round(speedup, 3),
+    }
+
+    failures = []
+    for name, report in (("fleet", fleet_report), ("classic", classic_report)):
+        if report.completed != SLO_REQUESTS:
+            failures.append(f"slo: {name} completed {report.completed:,} of "
+                            f"{SLO_REQUESTS:,} requests (conservation broken)")
+    if speedup < args.slo_speedup:
+        failures.append(f"slo: fleet engine is {speedup:.2f}x the classic "
+                        f"engine, below the {args.slo_speedup:g}x floor")
+    return payload, failures
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n-requests", type=int, default=10_000_000)
+    parser.add_argument("--arrival-rate", type=float, default=10_000_000.0)
+    parser.add_argument("--scenario", default="heavy-head")
+    parser.add_argument("--groups", default=GROUPS)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budget", type=float, default=9.0,
+                        help="maximum acceptable saturated simulation wall "
+                             "time in seconds (CI regression gate)")
+    parser.add_argument("--floor", type=float, default=2_539_870.0,
+                        help="minimum acceptable saturated simulated req/s — "
+                             "10x the classic simulator's BENCH_serving_mix "
+                             "rate")
+    parser.add_argument("--slo-speedup", type=float, default=2.0,
+                        help="minimum fleet/classic simulated-req/s ratio in "
+                             "the SLO-meeting regime, both engines timed on "
+                             "the same stream in this run")
+    parser.add_argument("-o", "--output", default="BENCH_fleet.json")
+    args = parser.parse_args(argv)
+
+    groups = parse_groups(args.groups)
+    saturated, failures = run_saturated(args, groups)
+    slo, slo_failures = run_slo(args, groups)
+    failures += slo_failures
+
+    payload = {"bench": "fleet", **saturated, "slo_regime": slo}
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
-
-    if report.completed != args.n_requests:
-        print(f"FAIL: {report.completed:,} of {args.n_requests:,} requests "
-              "completed (conservation broken)")
-        return 1
-    if wall_s > args.budget:
-        print(f"FAIL: 10M-request fleet simulation took {wall_s:.1f}s "
-              f"(budget {args.budget:.0f}s)")
-        return 1
-    if rate < args.floor:
-        print(f"FAIL: {rate:,.0f} simulated req/s is below the "
-              f"{args.floor:,.0f} floor (10x the classic simulator)")
-        return 1
-    return 0
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -12,18 +12,25 @@ group:
 * arrivals come in as columnar arrays straight from
   :func:`repro.serving.scenarios.scenario_columns` and are absorbed in
   bulk with ``searchsorted`` — under saturation, one epoch swallows
-  thousands of arrivals without visiting them individually;
-* each group keeps a replica free-time *vector*; idleness checks,
-  replica selection (argmin within the group) and completion handling
-  are array comparisons instead of per-slot heap events;
+  thousands of arrivals without visiting them individually; an epoch
+  with no arrival due skips the search (the next arrival time is
+  cached);
+* each group keeps a replica free-time *vector* plus a min-heap of the
+  idle replica indices in its active prefix: dispatch pops the
+  lowest-index idle replica, completions draining off a fleet-wide
+  finish-time heap push theirs back, so no epoch scans a vector;
 * batch latencies reuse the cost models' memoized anchor curves
   (:class:`~repro.serving.costmodel.ProfiledCostModel`) as a dense
   precomputed interpolation table per (tenant, device), so the hot loop
-  never re-enters the interpolator.
+  never re-enters the interpolator; the adaptive policy's batch search
+  reads the table directly (``latency_table``).
 
 Routing happens per *group*, not per slot: every replica of a group
 shares one latency curve, so ranking 64 identical slots is 63 wasted
-cost-model calls. On top of the core loop:
+cost-model calls. Each tenant's ranking of all groups is cached per
+probe batch size and filtered down to the idle groups; while a thermal
+throttle rescales a curve, the idle groups are sorted afresh. On top of
+the core loop:
 
 * **cross-group hop costs** — when the router moves a tenant's traffic
   to a different group than its previous batch, the batch pays a
@@ -307,6 +314,9 @@ def parse_autoscale(spec: str, min_replicas: int = 1,
 # A dense table never needs to stretch past the policies' decision range;
 # anything larger falls back to the exact per-query path.
 _MAX_TABLE = 4096
+# Arrival slices up to this many requests are counted in Python;
+# larger ones (saturated epochs) go through one ``bincount``.
+_SMALL_SLICE = 16
 
 
 def _dense_curve(cost, device: str, max_k: int) -> np.ndarray | None:
@@ -350,6 +360,8 @@ class _GroupCost:
     shared (and valid) across both simulators.
 
     ``throttle`` is the live group → factor dict the fault edges mutate.
+    Dense tables are Python lists: indexing one returns a float without
+    boxing a numpy scalar.
     """
 
     __slots__ = ("underlying", "_max_k", "_tables", "_memo", "_throttle")
@@ -357,28 +369,38 @@ class _GroupCost:
     def __init__(self, cost, throttle: dict[str, float], max_k: int):
         self.underlying = cost
         self._max_k = min(int(max_k), _MAX_TABLE)
-        self._tables: dict[str, np.ndarray | None] = {}
+        self._tables: dict[str, list[float] | None] = {}
         self._memo: dict[tuple[str, int], float] = {}
         self._throttle = throttle
 
+    def _table(self, device: str) -> list[float] | None:
+        if device not in self._tables:
+            table = _dense_curve(self.underlying, device, self._max_k)
+            self._tables[device] = None if table is None else table.tolist()
+        return self._tables[device]
+
     def latency(self, device: str, batch_size: int) -> float:
-        try:
-            table = self._tables[device]
-        except KeyError:
-            table = self._tables[device] = _dense_curve(
-                self.underlying, device, self._max_k)
-        if table is not None and 1 <= batch_size <= table.size:
-            base = float(table[batch_size - 1])
+        table = self._table(device)
+        if table is not None and 1 <= batch_size <= len(table):
+            base = table[batch_size - 1]
         else:
             key = (device, batch_size)
             base = self._memo.get(key)
             if base is None:
                 base = self._memo[key] = float(
                     self.underlying.latency(device, batch_size))
-        factor = self._throttle.get(device)
-        if factor is not None:
-            base *= factor
+        if self._throttle:
+            factor = self._throttle.get(device)
+            if factor is not None:
+                base *= factor
         return base
+
+    def latency_table(self, device: str) -> list[float] | None:
+        """``[latency(device, k) for k = 1..len]``; ``None`` while
+        ``device`` is throttled or has no dense table."""
+        if device in self._throttle:
+            return None
+        return self._table(device)
 
     def device_name(self, device: str) -> str:
         return device
@@ -446,6 +468,10 @@ class _FleetEngine:
         self.serv_sum = 0.0        # global service-time sum
         self.head = [0] * K
         self.tail = [0] * K
+        # Arrival of each tenant's queue head (inf once exhausted), kept
+        # as a Python float for the oldest-first sort and the policies.
+        self.head_arr = [float(a[0]) if a.size else math.inf
+                         for a in self.arr_t]
         self.last_group: list[int | None] = [None] * K
 
         self.throttle: dict[str, float] = {}
@@ -489,6 +515,7 @@ class _FleetEngine:
         self.completed = 0
         self.makespan = 0.0
         self.next_arr = 0
+        self.next_arr_t = float(self.arr_all[0]) if n else math.inf
         self.pending_wakeup: float | None = None
         self.tick_count = 0
         # Rolling window of batch latencies for the p99 autoscale metric.
@@ -498,15 +525,24 @@ class _FleetEngine:
         # truth, but scanning them per epoch is O(replicas x epochs); the
         # hot loop instead keeps (a) a min-heap of in-flight batch
         # finish times — so the next completion is O(1) to peek — and
-        # (b) a per-group count of idle replicas in the active prefix,
-        # decremented at dispatch and re-incremented as entries drain
-        # off the heap. Scaling events re-derive the counts from the
-        # vectors (rare; ticks only).
+        # (b) per group, a min-heap of the idle replica indices in the
+        # active prefix, popped at dispatch (lowest index first, the
+        # replica ``argmax(free[:act] <= now)`` would pick) and fed as
+        # entries drain off the busy heap. Scaling events rebuild the
+        # idle heaps from the vectors (rare; ticks only).
         self.busy_heap: list[tuple[float, int, int]] = []
-        self.idle_count = [g.replicas for g in self.groups]
+        self.idle_heap = [list(range(g.replicas)) for g in self.groups]
 
         self._gindex = {d: i for i, d in enumerate(self.gdev)}
         self._device_specs: dict[str, object] = {}  # lazy, hop pricing only
+        # (tenant, probe) -> every group in router order; valid while no
+        # throttle scales a curve (latencies are otherwise fixed).
+        self._rank: dict[tuple[int, int], list[int]] = {}
+
+    @property
+    def idle_count(self) -> list[int]:
+        """Idle replicas in each group's active prefix."""
+        return [len(h) for h in self.idle_heap]
 
     # -- time stepping -----------------------------------------------------------
 
@@ -517,29 +553,22 @@ class _FleetEngine:
 
     def _next_time(self, now: float) -> float:
         """Earliest instant after ``now`` at which anything can change."""
-        candidates = []
+        candidates = [self._next_tick()]
         if self.pending_wakeup is not None:
             candidates.append(self.pending_wakeup)
         if self.edge_ptr < len(self.edges):
             candidates.append(self.edges[self.edge_ptr][0])
-        tick = self._next_tick()
-        if tick < math.inf:
-            candidates.append(tick)
         if self.busy_heap:
             # Entries at or before ``now`` were drained in _advance, so
             # the heap top is the next batch completion across the fleet.
             candidates.append(self.busy_heap[0][0])
-        if self.next_arr < self.n:
-            for g in range(len(self.groups)):
-                if not self.down[g] and self.idle_count[g]:
-                    # Some active replica is idle right now; between here
-                    # and the next free event nothing busies it, so the
-                    # next arrival is a dispatch opportunity worth
-                    # visiting.
-                    candidates.append(float(self.arr_all[self.next_arr]))
-                    break
-        nxt = min((c for c in candidates if c > now), default=math.inf)
-        return nxt
+        down = self.down
+        if any(h and not down[g] for g, h in enumerate(self.idle_heap)):
+            # Some active replica is idle right now; between here and the
+            # next free event nothing busies it, so the next arrival (inf
+            # once the stream is exhausted) is a dispatch opportunity.
+            candidates.append(self.next_arr_t)
+        return min((c for c in candidates if c > now), default=math.inf)
 
     def _advance(self, now: float) -> None:
         """Absorb everything due at ``now``: completions, fault edges,
@@ -548,10 +577,10 @@ class _FleetEngine:
         while heap and heap[0][0] <= now:
             _finish, g, ridx = heapq.heappop(heap)
             if ridx < self.act[g]:
-                self.idle_count[g] += 1
+                heapq.heappush(self.idle_heap[g], ridx)
             # else: the replica drained outside the autoscaler-active
             # prefix; its free time stays on the vector and is picked
-            # back up by the recount if the group scales out again.
+            # back up by the rebuild if the group scales out again.
         while self.edge_ptr < len(self.edges) and self.edges[self.edge_ptr][0] <= now:
             _when, kind, grp, arg = self.edges[self.edge_ptr]
             self.edge_ptr += 1
@@ -564,15 +593,21 @@ class _FleetEngine:
                 self.throttle[grp] = arg
             elif kind == "throttle-off":
                 self.throttle.pop(grp, None)
-        if self.next_arr < self.n:
+        if self.next_arr_t <= now:
             old = self.next_arr
             new_total = int(np.searchsorted(self.arr_all, now, side="right"))
-            if new_total > old:
-                self.next_arr = new_total
+            self.next_arr = new_total
+            self.next_arr_t = (float(self.arr_all[new_total])
+                               if new_total < self.n else math.inf)
+            tail = self.tail
+            if new_total - old <= _SMALL_SLICE:
+                for t in self.codes[old:new_total].tolist():
+                    tail[t] += 1
+            else:
                 counts = np.bincount(self.codes[old:new_total],
                                      minlength=len(self.tenants))
                 for t, c in enumerate(counts.tolist()):
-                    self.tail[t] += c
+                    tail[t] += c
         if self.autoscale is not None:
             n_scaled = len(self.scaling)
             while self._next_tick() <= now:
@@ -580,13 +615,13 @@ class _FleetEngine:
                 self.tick_count += 1
                 self._tick(tick)
             if len(self.scaling) != n_scaled:
-                # Active prefixes moved; re-derive the idle counts from
-                # the free-time vectors (w.r.t. *now* — everything due
-                # has already drained off the heap).
+                # Active prefixes moved; rebuild the idle heaps from the
+                # free-time vectors (w.r.t. *now* — everything due has
+                # already drained off the busy heap). A sorted list is a
+                # valid heap.
                 for g in range(len(self.groups)):
-                    act = self.act[g]
-                    self.idle_count[g] = int(
-                        (self.free[g][:act] <= now).sum())
+                    self.idle_heap[g] = np.flatnonzero(
+                        self.free[g][:self.act[g]] <= now).tolist()
         if self.pending_wakeup is not None and now >= self.pending_wakeup:
             self.pending_wakeup = None
 
@@ -632,11 +667,27 @@ class _FleetEngine:
 
     # -- the offer loop ----------------------------------------------------------
 
-    def _idle_groups(self, now: float) -> list[int]:
-        counts = self.idle_count
-        down = self.down
-        return [g for g in range(len(self.groups))
-                if counts[g] and not down[g]]
+    def _ranked(self, t: int, probe: int, idle: list[int]) -> list[int]:
+        """``idle`` in router order for tenant ``t`` at batch ``probe``.
+
+        Filtering the cached order over all groups equals sorting
+        ``idle``: the key is a total order (device names are unique).
+        Throttles rescale curves, so while one is on, sort afresh.
+        """
+        cost = self.tcost[t]
+        gdev = self.gdev
+
+        def key(g: int) -> tuple[float, str]:
+            return cost.latency(gdev[g], probe) / probe, gdev[g]
+
+        if self.throttle:
+            return sorted(idle, key=key)
+        order = self._rank.get((t, probe))
+        if order is None:
+            order = self._rank[(t, probe)] = sorted(range(len(gdev)), key=key)
+        if len(idle) == len(order):
+            return order
+        return [g for g in order if g in idle]
 
     def _offer(self, now: float) -> None:
         """Offer queued work to idle groups until every policy holds.
@@ -647,29 +698,27 @@ class _FleetEngine:
         tie-break); the first (tenant, group) pair whose policy
         dispatches restarts the scan.
         """
-        K = len(self.tenants)
+        head, tail, down = self.head, self.tail, self.down
         while True:
-            active = [t for t in range(K) if self.head[t] < self.tail[t]]
+            active = [t for t, h in enumerate(head) if h < tail[t]]
             if not active:
                 return
-            idle = self._idle_groups(now)
+            idle = [g for g, h in enumerate(self.idle_heap)
+                    if h and not down[g]]
             if not idle:
                 return
             if len(active) > 1:
-                active.sort(key=lambda t: float(self.arr_t[t][self.head[t]]))
+                active.sort(key=self.head_arr.__getitem__)
             chosen_t = chosen_g = size = None
             for t in active:
-                qlen = self.tail[t] - self.head[t]
+                qlen = tail[t] - head[t]
                 cost = self.tcost[t]
                 if len(idle) == 1:
                     ranked = idle
                 else:
-                    probe = max(1, min(qlen, self.probe_cap))
-                    ranked = sorted(
-                        idle,
-                        key=lambda g: (cost.latency(self.gdev[g], probe) / probe,
-                                       self.gdev[g]))
-                oldest_wait = now - float(self.arr_t[t][self.head[t]])
+                    ranked = self._ranked(
+                        t, max(1, min(qlen, self.probe_cap)), idle)
+                oldest_wait = now - self.head_arr[t]
                 for g in ranked:
                     size = self.policies[t].decide(
                         now, qlen, oldest_wait, self.gdev[g], cost)
@@ -684,8 +733,8 @@ class _FleetEngine:
             self._dispatch(chosen_t, chosen_g, size, now)
 
     def _hold(self, now: float, active: list[int]) -> None:
-        wakes = (self.policies[t].next_wakeup(
-                    now, float(self.arr_t[t][self.head[t]])) for t in active)
+        wakes = (self.policies[t].next_wakeup(now, self.head_arr[t])
+                 for t in active)
         wake = min((w for w in wakes if w is not None and w > now), default=None)
         if wake is not None and (self.pending_wakeup is None
                                  or wake < self.pending_wakeup):
@@ -705,8 +754,7 @@ class _FleetEngine:
         if duration <= 0:
             raise ValueError("batch_time must return a positive duration")
         fa = self.free[g]
-        act = self.act[g]
-        ridx = int(np.argmax(fa[:act] <= now))
+        ridx = heapq.heappop(self.idle_heap[g])
         idle_since = float(fa[ridx])
         finish = now + duration
         busy = duration
@@ -724,7 +772,8 @@ class _FleetEngine:
         self.last_group[t] = g
 
         end = head + size
-        batch_arr = self.arr_t[t][head:end]
+        arr_t = self.arr_t[t]
+        batch_arr = arr_t[head:end]
         lat = self.lat_t[t][head:end]
         np.subtract(finish, batch_arr, out=lat)
         # Queued requests arrived at or before ``now`` and the chosen
@@ -740,9 +789,9 @@ class _FleetEngine:
         self.form_sum += float(
             np.minimum(now - batch_arr, now - idle_since).sum())
         self.head[t] = end
+        self.head_arr[t] = float(arr_t[end]) if end < arr_t.size else math.inf
         fa[ridx] = finish
         heapq.heappush(self.busy_heap, (finish, g, ridx))
-        self.idle_count[g] -= 1
         self.batches[g] += 1
         self.requests[g] += size
         self.busy[g] += busy

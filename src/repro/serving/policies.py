@@ -140,11 +140,21 @@ class AdaptiveSLOPolicy(BatchingPolicy):
         return _wake_after(oldest_arrival, self.safety * self.slo)
 
     def _largest_within(self, device: str, cost, budget: float) -> int:
-        """Largest k in [1, max_batch] with latency(k) <= budget."""
+        """Largest k in [1, max_batch] with latency(k) <= budget.
+
+        A cost model may offer ``latency_table(device)``: a list whose
+        entry ``k - 1`` equals ``latency(device, k)``, or ``None``. The
+        search reads the table where it reaches and ``latency`` past it,
+        so both paths take the same steps and return the same k.
+        """
+        table_fn = getattr(cost, "latency_table", None)
+        table = table_fn(device) if table_fn is not None else None
+        n_table = len(table) if table is not None else 0
         lo, hi = 1, self.max_batch
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if cost.latency(device, mid) <= budget:
+            lat = table[mid - 1] if mid <= n_table else cost.latency(device, mid)
+            if lat <= budget:
                 lo = mid
             else:
                 hi = mid - 1

@@ -38,6 +38,8 @@ from repro.serving.faults import (
     ThermalThrottle,
     TransientStall,
 )
+from repro.serving.fleet import _FleetEngine
+from repro.workloads.registry import list_workloads
 
 REPORT_ATTRS = (
     "makespan", "mean_latency", "p50_latency", "p95_latency", "p99_latency",
@@ -70,13 +72,14 @@ def analytic_tenants(policy_factory):
 
 
 def assert_matches_classic(tenants_fleet, tenants_classic, groups, devices,
-                           n_requests, arrival_rate, seed, scenario="uniform"):
+                           n_requests, arrival_rate, seed, scenario="uniform",
+                           faults=None):
     fleet = simulate_fleet(tenants_fleet, groups, n_requests=n_requests,
                            arrival_rate=arrival_rate, scenario=scenario,
-                           seed=seed)
+                           seed=seed, faults=faults)
     classic = simulate_mixed(tenants_classic, devices=devices,
                              n_requests=n_requests, arrival_rate=arrival_rate,
-                             scenario=scenario, seed=seed,
+                             scenario=scenario, seed=seed, faults=faults,
                              router=EarliestFinishRouter())
     assert fleet.n_requests == classic.n_requests
     for attr in REPORT_ATTRS:
@@ -135,6 +138,51 @@ def test_differential_heavy_head_scenario():
         devices=("2080ti",) * 3 + ("nano",) * 2,
         n_requests=6_000, arrival_rate=1_100.0, seed=7,
         scenario="heavy-head")
+
+
+def test_differential_fleet_scale_slo_regime():
+    # Fourteen replicas in three groups, nine profiled tenants, every one
+    # inside its SLO: several groups sit idle at once (the cached group
+    # ranking gets filtered) and each group holds many idle replicas
+    # (the idle heap picks the lowest index).
+    groups = parse_groups("2080ti:8,orin:4,nano:2")
+    devices = tuple(g.device for g in groups for _ in range(g.replicas))
+    fleet, classic = assert_matches_classic(
+        make_tenants(list_workloads(), slo=50e-3),
+        make_tenants(list_workloads(), slo=50e-3),
+        groups=groups, devices=devices,
+        n_requests=20_000, arrival_rate=25_000.0, seed=5,
+        scenario="heavy-head")
+    assert fleet.throughput == pytest.approx(classic.throughput, rel=1e-9)
+    assert all(s.slo_attainment == 1.0 for s in fleet.tenant_stats.values())
+    np.testing.assert_allclose(
+        np.sort(fleet.latencies),
+        np.sort([r.latency for r in classic.requests]), rtol=1e-9, atol=1e-9)
+    for name, got in fleet.group_stats.items():
+        slots = [s for s in classic.device_stats.values() if s.device == name]
+        assert got.batches == sum(s.batches for s in slots) > 0, name
+        assert got.requests == sum(s.requests for s in slots), name
+        assert got.busy_time == pytest.approx(
+            sum(s.busy_time for s in slots), rel=1e-9), name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: analytic_tenants(lambda: AdaptiveSLOPolicy(0.05)),
+    lambda: make_tenants(["avmnist", "mmimdb"], slo=50e-3),
+], ids=["analytic", "profiled"])
+def test_differential_throttle_window(make):
+    # A throttle scales one group's curves for a window, which reorders
+    # the group ranking (2080ti x4 is slower than nano) and withdraws the
+    # dense tables; both engines scale latencies identically, so they
+    # must still agree before, during and after the window.
+    plan = FaultPlan(events=(ThermalThrottle(device="2080ti", time=1.0,
+                                             until=2.5, factor=4.0),))
+    fleet, _ = assert_matches_classic(
+        make(), make(),
+        groups=(DeviceGroup("2080ti", 2), DeviceGroup("nano", 2)),
+        devices=("2080ti", "2080ti", "nano", "nano"),
+        n_requests=5_000, arrival_rate=1_200.0, seed=3, faults=plan)
+    assert all(s.batches for s in fleet.group_stats.values())
 
 
 # -- config parsing and validation ----------------------------------------------------------------
@@ -282,6 +330,49 @@ def test_autoscale_p99_metric():
     assert report.completed == report.n_requests
     assert any("p99" in e.reason for e in report.scaling_events
                if e.after > e.before)
+
+
+def test_idle_heaps_track_free_vectors_every_epoch():
+    # Scale-out under bursts, scale-in between them, and a down/recover
+    # window: after every epoch each group's idle heap holds exactly the
+    # idle replicas of its active prefix, and every dispatch takes the
+    # lowest-index one.
+    tenants = analytic_tenants(lambda: FixedBatchPolicy(8))
+    groups = (DeviceGroup("2080ti", 2, pool=6), DeviceGroup("nano", 2, pool=4))
+    columns = scenario_columns("bursty", tenants, 12_000,
+                               arrival_rate=1_500.0, seed=0)
+    plan = FaultPlan(events=(DeviceDown(time=1.0, device="nano"),
+                             DeviceRecover(time=2.0, device="nano")))
+    engine = _FleetEngine(
+        tenants, groups, columns,
+        AutoscalePolicy(threshold=10.0, interval=0.02, cooldown=0.04,
+                        idle_fraction=0.5),
+        plan, hop_bytes=0.0, probe_cap=128)
+    offer, dispatch = engine._offer, engine._dispatch
+    epochs = 0
+
+    def dispatch_to_lowest_idle(t, g, size, now):
+        lowest = int(np.argmax(engine.free[g][:engine.act[g]] <= now))
+        dispatch(t, g, size, now)
+        assert engine.free[g][lowest] > now, "skipped the lowest idle replica"
+
+    def offer_then_check(now):
+        nonlocal epochs
+        offer(now)
+        epochs += 1
+        for g in range(len(groups)):
+            idle = np.flatnonzero(engine.free[g][:engine.act[g]] <= now)
+            assert sorted(engine.idle_heap[g]) == idle.tolist(), (now, g)
+            assert engine.idle_count[g] == len(engine.idle_heap[g])
+
+    engine._offer = offer_then_check
+    engine._dispatch = dispatch_to_lowest_idle
+    engine.run()
+    assert engine.completed == len(columns)
+    assert epochs > 1_000
+    assert engine.edge_ptr == len(engine.edges) == 2
+    assert any(e.after > e.before for e in engine.scaling), "never scaled out"
+    assert any(e.after < e.before for e in engine.scaling), "never scaled in"
 
 
 def test_autoscale_policy_validation():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.serving import (
@@ -14,6 +15,7 @@ from repro.serving import (
     make_policy,
     simulate,
 )
+from repro.serving.fleet import _GroupCost
 from repro.serving.policies import _wake_after
 from repro.serving.simulator import _SlotCost
 
@@ -117,6 +119,66 @@ class TestAdaptive:
             AdaptiveSLOPolicy(1.0, max_batch=0)
         with pytest.raises(ValueError):
             AdaptiveSLOPolicy(1.0, safety=1.5)
+
+
+class AnchorCost:
+    """Anchor-curve cost model (the shape dense tables are built from)."""
+
+    def __init__(self, times):
+        self._anchor_arr = np.array([1.0, 4.0, 16.0, 64.0])
+        self.times = np.asarray(times, dtype=np.float64)
+
+    def _anchor_curve(self, device):
+        return self.times
+
+    def latency(self, device, batch_size):
+        return float(np.interp(batch_size, self._anchor_arr, self.times))
+
+
+class LatencyOnly:
+    """Hides ``latency_table`` so the search goes through ``latency``."""
+
+    def __init__(self, cost):
+        self.cost = cost
+
+    def latency(self, device, batch_size):
+        return self.cost.latency(device, batch_size)
+
+
+class TestLatencyTablePath:
+    MONOTONE = [1e-3, 3e-3, 9e-3, 30e-3]
+    NOT_MONOTONE = [2e-3, 1e-3, 12e-3, 5e-3]
+
+    def assert_same_batches(self, policy, cost, device, rng):
+        top = cost.latency(device, policy.max_batch)
+        for budget in rng.uniform(0.0, 1.2 * max(top, 30e-3), 200):
+            assert (policy._largest_within(device, cost, budget)
+                    == policy._largest_within(device, LatencyOnly(cost), budget))
+
+    @pytest.mark.parametrize("times", [MONOTONE, NOT_MONOTONE],
+                             ids=["monotone", "not-monotone"])
+    def test_table_matches_latency(self, times):
+        cost = _GroupCost(AnchorCost(times), {}, max_k=64)
+        assert cost.latency_table("orin") == [
+            cost.latency("orin", k) for k in range(1, 65)]
+        self.assert_same_batches(AdaptiveSLOPolicy(0.05, max_batch=64), cost,
+                                 "orin", np.random.default_rng(0))
+
+    def test_throttled_group_has_no_table(self):
+        throttle = {"orin": 1.7}
+        cost = _GroupCost(AnchorCost(self.NOT_MONOTONE), throttle, max_k=64)
+        assert cost.latency_table("orin") is None
+        assert cost.latency_table("nano") is not None
+        self.assert_same_batches(AdaptiveSLOPolicy(0.05, max_batch=64), cost,
+                                 "orin", np.random.default_rng(1))
+        throttle.clear()
+        assert cost.latency_table("orin") is not None
+
+    def test_max_batch_past_the_table(self):
+        cost = _GroupCost(AnchorCost(self.NOT_MONOTONE), {}, max_k=16)
+        assert len(cost.latency_table("orin")) == 16
+        self.assert_same_batches(AdaptiveSLOPolicy(0.05, max_batch=200), cost,
+                                 "orin", np.random.default_rng(2))
 
 
 class TestWakeAfter:
