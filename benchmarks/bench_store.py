@@ -1,11 +1,11 @@
-"""Benchmark: binary columnar (v5) trace-store warm loads vs gzip-JSON.
+"""Benchmark: binary columnar (v5) trace-store warm loads.
 
 Builds the same ~50k-node synthetic execution graph the ingest benchmark
-uses, stores the ingested trace both ways — legacy gzip-JSON payload and
-the v5 binary columnar file — and measures warm *disk* load latency for
-each. Then seeds a small corpus (all nine workloads, batch 8, meta
-backend) and measures per-trace binary load latency plus a whole-corpus
-``prefetch``.
+uses, stores the ingested trace as a v5 binary columnar file, and
+measures the warm *disk* (mmap) load latency, checking the loaded columns
+against the in-memory ingested trace. Then seeds a small corpus (all nine
+workloads, batch 8, meta backend) and measures per-trace binary load
+latency plus a whole-corpus ``prefetch``.
 
 Run from the repo root::
 
@@ -14,13 +14,13 @@ Run from the repo root::
 Emits ``BENCH_store.json``::
 
     {
-      "ingest_50k": {"json_ms": ..., "binary_ms": ..., "speedup": ...},
+      "ingest_50k": {"binary_ms": ...},
       "workloads": {"avmnist": {"binary_us": ...}, ...},
-      "prefetch": {"entries": 10, "ms": ...}
+      "prefetch": {"entries": 9, "ms": ...}
     }
 
-Exits non-zero if the binary warm load fails to beat the JSON baseline by
-``--min-speedup`` (CI regression gate, default 20x), if the mean
+Exits non-zero if the 50k-node binary load takes longer than
+``--max-load-ms`` (CI regression gate, default 3 ms), if the mean
 per-workload binary load exceeds ``--small-budget-us``, or if the whole
 run exceeds ``--budget`` seconds.
 """
@@ -39,13 +39,7 @@ import numpy as np
 from bench_ingest import synthetic_graph
 from repro.trace import binfmt
 from repro.trace.columns import HOST_COLUMN_SPEC, KERNEL_COLUMN_SPEC
-from repro.trace.store import (
-    TraceStore,
-    read_legacy_json,
-    trace_from_payload,
-    trace_to_payload,
-    write_legacy_json,
-)
+from repro.trace.store import TraceStore
 from repro.workloads.registry import list_workloads
 
 
@@ -63,8 +57,9 @@ def best_of(fn, reps: int) -> tuple[float, object]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=50_000)
-    parser.add_argument("--min-speedup", type=float, default=20.0,
-                        help="binary warm load must beat gzip-JSON by this")
+    parser.add_argument("--max-load-ms", type=float, default=3.0,
+                        help="budget for the warm binary load of the "
+                             "50k-node trace (milliseconds)")
     parser.add_argument("--small-budget-us", type=float, default=5_000.0,
                         help="mean binary load budget for the nine "
                              "workload traces (microseconds)")
@@ -84,28 +79,20 @@ def main(argv: list[str] | None = None) -> int:
         store = TraceStore(cache)
         stored = store.get_or_ingest(str(graph_path))
         mmt_path = next(cache.glob("*.mmt"))
-        json_path = tmp / "baseline.json.gz"
-        key_header = binfmt.read_header(mmt_path)["key"]
-        write_legacy_json(json_path, {**trace_to_payload(
-            stored, store.make_key("avmnist")), "key": key_header})
-
-        json_s, via_json = best_of(
-            lambda: trace_from_payload(read_legacy_json(json_path)), 5)
         interner = binfmt.StringInterner(cache / TraceStore.INTERNING_SIDECAR)
         binary_s, (_, via_binary) = best_of(
             lambda: binfmt.read_entry(mmt_path, interner=interner), 20)
-        speedup = json_s / binary_s
+        binary_ms = binary_s * 1e3
 
-        cols_j, cols_b = via_json.trace.columns(), via_binary.trace.columns()
+        cols_m, cols_b = stored.trace.columns(), via_binary.trace.columns()
         for name, _ in KERNEL_COLUMN_SPEC + HOST_COLUMN_SPEC:
-            assert np.array_equal(getattr(cols_j, name), getattr(cols_b, name)), \
-                f"column {name} differs between JSON and binary loads"
+            assert np.array_equal(getattr(cols_m, name), getattr(cols_b, name)), \
+                f"column {name} differs between the ingested and loaded trace"
         assert not cols_b.flops.flags["OWNDATA"], "binary load must be zero-copy"
 
         print(f"50k-node ingest trace ({mmt_path.stat().st_size / 1e6:.1f} MB "
-              f"binary, {json_path.stat().st_size / 1e6:.1f} MB gzip-JSON)")
-        print(f"  warm disk load: gzip-JSON {json_s * 1e3:.2f} ms, "
-              f"v5 binary {binary_s * 1e6:.0f} us -> {speedup:,.0f}x")
+              f"binary)")
+        print(f"  warm disk load: v5 binary {binary_s * 1e6:.0f} us")
 
         # -- small-trace corpus: the nine workloads ---------------------------
         corpus = tmp / "corpus"
@@ -138,11 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         "bench": "store",
         "nodes": args.nodes,
         "binary_mb": round(size_mb, 2),
-        "ingest_50k": {
-            "json_ms": round(json_s * 1e3, 3),
-            "binary_ms": round(binary_s * 1e3, 4),
-            "speedup": round(speedup, 1),
-        },
+        "ingest_50k": {"binary_ms": round(binary_ms, 4)},
         "workloads": {w: {"binary_us": round(s * 1e6, 1)}
                       for w, s in sorted(per_workload.items())},
         "workloads_mean_us": round(mean_us, 1),
@@ -154,9 +137,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.output} (total {total_s:.1f} s)")
 
     failed = False
-    if speedup < args.min_speedup:
-        print(f"FAIL: binary warm load only {speedup:.1f}x over gzip-JSON "
-              f"(floor {args.min_speedup:.0f}x)")
+    if binary_ms > args.max_load_ms:
+        print(f"FAIL: 50k-node binary load {binary_ms:.2f} ms over "
+              f"{args.max_load_ms:.1f} ms budget")
         failed = True
     if mean_us > args.small_budget_us:
         print(f"FAIL: mean workload load {mean_us:.0f} us over "

@@ -10,7 +10,8 @@ batching policy do under the same stream (:func:`policy_study`)?
 
 from __future__ import annotations
 
-from repro.hw.scheduler import ServingResult, serving_result_from_report
+from dataclasses import dataclass
+
 from repro.serving import (
     BatchingPolicy,
     FixedBatchPolicy,
@@ -19,6 +20,36 @@ from repro.serving import (
     make_policy,
     simulate,
 )
+
+
+@dataclass(frozen=True)
+class ServingResult:
+    """Statistics of one fixed-batch serving run on a single device."""
+
+    batch_size: int
+    n_tasks: int
+    makespan: float  # completion time of the last task
+    throughput: float  # tasks / second over the makespan
+    mean_latency: float
+    p50_latency: float
+    p99_latency: float
+    server_utilization: float  # busy time / makespan
+
+
+def serving_result_from_report(report: ServingReport,
+                               batch_size: int) -> ServingResult:
+    """Collapse a :class:`~repro.serving.ServingReport` into the
+    single-server summary of one batch size."""
+    return ServingResult(
+        batch_size=batch_size,
+        n_tasks=report.n_requests,
+        makespan=report.makespan,
+        throughput=report.throughput,
+        mean_latency=report.mean_latency,
+        p50_latency=report.p50_latency,
+        p99_latency=report.p99_latency,
+        server_utilization=report.total_utilization,
+    )
 
 
 def serving_sweep(

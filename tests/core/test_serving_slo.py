@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.core.analysis.serving import best_batch_for_slo, policy_study
-from repro.hw.scheduler import ServingResult
+from repro.core.analysis.serving import (
+    ServingResult,
+    best_batch_for_slo,
+    policy_study,
+    serving_result_from_report,
+)
+from repro.serving import FixedBatchPolicy, simulate
 
 
 def result(batch_size: int, p99: float) -> ServingResult:
@@ -12,6 +17,41 @@ def result(batch_size: int, p99: float) -> ServingResult:
         mean_latency=p99 / 2, p50_latency=p99 / 2, p99_latency=p99,
         server_utilization=1.0,
     )
+
+
+def affine(k: int) -> float:
+    return 50e-6 + 10e-6 * k
+
+
+class TestServingResultFromReport:
+    def test_copies_the_single_server_summary(self):
+        report = simulate(affine, FixedBatchPolicy(8), devices=("d",),
+                          n_requests=200, arrival_rate=20_000.0, seed=1)
+        out = serving_result_from_report(report, 8)
+        assert out == ServingResult(
+            batch_size=8, n_tasks=200, makespan=report.makespan,
+            throughput=report.throughput, mean_latency=report.mean_latency,
+            p50_latency=report.p50_latency, p99_latency=report.p99_latency,
+            server_utilization=report.total_utilization,
+        )
+
+    def test_closed_batch_hand_count(self):
+        report = simulate(affine, FixedBatchPolicy(10), devices=("d",),
+                          n_requests=100)
+        out = serving_result_from_report(report, 10)
+        # 10 batches of 10: each 50us + 100us = 150us, back to back.
+        assert out.makespan == pytest.approx(10 * 150e-6)
+        assert out.throughput == pytest.approx(100 / (10 * 150e-6))
+        assert out.server_utilization == pytest.approx(1.0)
+        assert 0 < out.p50_latency <= out.p99_latency <= out.makespan
+
+    def test_empty_run_is_all_zero(self):
+        report = simulate(affine, FixedBatchPolicy(4), devices=("d",),
+                          n_requests=0)
+        out = serving_result_from_report(report, 4)
+        assert out.n_tasks == 0
+        assert out.makespan == out.throughput == out.p99_latency == 0.0
+        assert out.server_utilization == 0.0
 
 
 class TestBestBatchForSLO:

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.profiling.profiler import MMBenchProfiler
 from repro.serving import (
     PROFILE_STATS,
     CallableCostModel,
     ProfiledCostModel,
+    TraceCostModel,
     clear_cost_cache,
 )
-from repro.serving.costmodel import anchored_batch_time
-from repro.workloads.registry import get_workload
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +117,13 @@ class TestCurve:
         assert _interp_affine(4, anchors, gentle) == pytest.approx(
             1.0 - (0.24 / 24) * 4)
 
+    def test_default_anchors_monotone_and_amortized(self):
+        cost = ProfiledCostModel("avmnist")
+        times = [cost.latency("2080ti", k) for k in (1, 8, 64, 256)]
+        assert times == sorted(times)
+        # Per-task cost falls with batch size (amortized overheads).
+        assert times[-1] / 256 < times[0] / 1
+
     def test_edge_slower_than_server(self, cost):
         assert cost.latency("nano", 32) > cost.latency("2080ti", 32)
 
@@ -139,18 +144,6 @@ class TestCurve:
             ProfiledCostModel("avmnist", anchors=(1.2, 1.8))
 
 
-class TestAnchoredBatchTime:
-    def test_memoized_per_model_and_device(self):
-        model = get_workload("avmnist").build(seed=0)
-        profiler = MMBenchProfiler("2080ti")
-        anchored_batch_time(profiler, model, "2080ti", anchors=(1, 4))
-        before = snapshot()
-        anchored_batch_time(profiler, model, "2080ti", anchors=(1, 4))
-        after = snapshot()
-        assert after["captures"] == before["captures"]
-        assert after["hits"] == before["hits"] + 1
-
-
 class TestCallable:
     def test_delegates_and_validates(self):
         cost = CallableCostModel(lambda k: 1e-3 * k)
@@ -159,3 +152,74 @@ class TestCallable:
             cost.latency("anything", 0)
         with pytest.raises(ValueError, match="positive duration"):
             CallableCostModel(lambda k: -1.0).latency("d", 1)
+
+
+@pytest.fixture(scope="module")
+def stored_b1():
+    from repro.trace.store import TraceStore
+
+    return TraceStore().get_or_capture("avmnist", batch_size=1, backend="meta")
+
+
+def engine_time(stored, device: str) -> float:
+    from repro.hw.device import get_device
+    from repro.hw.engine import ExecutionEngine
+
+    return ExecutionEngine(get_device(device)).run(
+        stored.trace, model_bytes=stored.parameter_bytes,
+        input_bytes=stored.input_bytes).total_time
+
+
+class TestTraceCostModel:
+    """The serving adapter for stored (e.g. ingested) traces."""
+
+    @pytest.mark.parametrize("base", [1, 4])
+    def test_base_batch_prices_the_stored_trace_unscaled(self, base):
+        from repro.trace.store import TraceStore
+
+        stored = TraceStore().get_or_capture("avmnist", batch_size=base,
+                                             backend="meta")
+        cost = TraceCostModel(stored, base_batch_size=base, anchors=(1, 4, 16))
+        assert cost.latency("2080ti", base) == pytest.approx(
+            engine_time(stored, "2080ti"), rel=1e-12)
+
+    def test_monotone_and_amortized(self, stored_b1):
+        cost = TraceCostModel(stored_b1)
+        times = [cost.latency("2080ti", k) for k in (1, 8, 64, 256)]
+        assert times == sorted(times)
+        assert times[-1] / 256 < times[0] / 1
+
+    def test_curve_priced_once_per_device(self, stored_b1):
+        cost = TraceCostModel(stored_b1, anchors=(1, 4, 16))
+        before = snapshot()["pricings"]
+        cost.latency("2080ti", 8)
+        assert snapshot()["pricings"] == before + 3  # one per anchor
+        cost.latency("2080ti", 12)
+        cost.latency("rtx2080ti", 8)  # canonical name of the same device
+        assert snapshot()["pricings"] == before + 3
+        cost.latency("nano", 8)
+        assert snapshot()["pricings"] == before + 6
+
+    def test_edge_slower_than_server(self, stored_b1):
+        cost = TraceCostModel(stored_b1)
+        assert cost.latency("nano", 32) > cost.latency("2080ti", 32)
+
+    def test_drives_a_closed_batch_simulation(self, stored_b1):
+        from repro.serving import FixedBatchPolicy, simulate
+
+        cost = TraceCostModel(stored_b1)
+        report = simulate(cost, FixedBatchPolicy(8), devices=("2080ti",),
+                          n_requests=64)
+        assert report.makespan == pytest.approx(8 * cost.latency("2080ti", 8))
+
+    def test_name_defaults_to_model_name(self, stored_b1):
+        assert TraceCostModel(stored_b1).name == stored_b1.model_name
+        assert TraceCostModel(stored_b1, name="g").name == "g"
+
+    def test_validation(self, stored_b1):
+        with pytest.raises(ValueError, match="anchors"):
+            TraceCostModel(stored_b1, anchors=(8, 1))
+        with pytest.raises(ValueError, match="base_batch_size"):
+            TraceCostModel(stored_b1, base_batch_size=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            TraceCostModel(stored_b1).latency("2080ti", 0)

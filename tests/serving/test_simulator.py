@@ -42,11 +42,49 @@ class TestClosedBatch:
         assert set(two.device_stats) == {"d#0", "d#1"}
         assert all(s.requests == 50 for s in two.device_stats.values())
 
+    def test_larger_batches_raise_throughput(self):
+        cost = CallableCostModel(affine)
+        small = simulate(cost, FixedBatchPolicy(10), devices=("d",),
+                         n_requests=1000)
+        large = simulate(cost, FixedBatchPolicy(100), devices=("d",),
+                         n_requests=1000)
+        assert large.throughput > small.throughput
+        assert large.makespan < small.makespan
+
+    def test_sublinear_speedup(self):
+        """10x batch never yields 10x throughput with fixed overhead (the
+        paper's Sec. 5.1 batch-40 vs batch-400 case)."""
+        cost = CallableCostModel(affine)
+        b40 = simulate(cost, FixedBatchPolicy(40), devices=("d",),
+                       n_requests=10_000)
+        b400 = simulate(cost, FixedBatchPolicy(400), devices=("d",),
+                        n_requests=10_000)
+        assert b400.throughput / b40.throughput < 10.0
+
     def test_callable_wrapped_automatically(self):
         plain = simulate(affine, FixedBatchPolicy(4), devices=("d",), n_requests=16)
         wrapped = simulate(CallableCostModel(affine), FixedBatchPolicy(4),
                            devices=("d",), n_requests=16)
         assert plain.makespan == wrapped.makespan
+
+
+class TestOpenLoop:
+    def test_slow_poisson_arrivals_idle_the_server(self):
+        report = simulate(CallableCostModel(affine), FixedBatchPolicy(8),
+                          devices=("d",), n_requests=200, arrival_rate=100.0,
+                          seed=1)
+        assert report.total_utilization < 0.5
+        assert report.mean_latency < 0.05
+
+    def test_overload_queues_build(self):
+        def slow(k):
+            return 1e-3 + 1e-4 * k  # service slower than arrivals
+
+        report = simulate(CallableCostModel(slow), FixedBatchPolicy(4),
+                          devices=("d",), n_requests=300,
+                          arrival_rate=10_000.0, seed=1)
+        assert report.total_utilization > 0.9
+        assert report.p99_latency > report.p50_latency
 
 
 class TestAccounting:
@@ -233,6 +271,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive duration"):
             simulate(lambda k: 0.0, FixedBatchPolicy(4), devices=("d",),
                      n_requests=10)
+
+    def test_zero_batch_size_and_zero_rate_raise(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            FixedBatchPolicy(0)
+        with pytest.raises(ValueError, match="arrival_rate"):
+            simulate(affine, FixedBatchPolicy(4), devices=("d",),
+                     n_requests=10, arrival_rate=0.0)
 
 
 class TestEmptySimulation:

@@ -8,8 +8,6 @@ from repro.trace.store import (
     code_fingerprint,
     default_store,
     set_default_store,
-    trace_from_payload,
-    trace_to_payload,
 )
 
 
@@ -104,29 +102,6 @@ class TestDiskTier:
         for a, b in zip(original.trace.host_events, loaded.trace.host_events):
             assert (a.kind, a.bytes, a.stage, a.seq, a.name) == \
                    (b.kind, b.bytes, b.stage, b.seq, b.name)
-
-    def test_payload_rejects_unknown_schema(self):
-        store = TraceStore()
-        stored = store.get_or_capture("avmnist", batch_size=2, backend="meta")
-        payload = trace_to_payload(stored, store.make_key("avmnist", batch_size=2))
-        payload["schema"] = 999
-        with pytest.raises(ValueError, match="schema"):
-            trace_from_payload(payload)
-
-    def test_v2_payload_loads_as_all_forward(self):
-        """Back-compat: schema-v2 entries (pre-pass inference captures)
-        decode with every kernel on the forward pass."""
-        store = TraceStore()
-        stored = store.get_or_capture("avmnist", batch_size=2, backend="meta")
-        payload = trace_to_payload(stored, store.make_key("avmnist", batch_size=2))
-        payload["schema"] = 2
-        del payload["columns"]["pass_codes"]
-        del payload["columns"]["host_pass_codes"]
-        loaded = trace_from_payload(payload)
-        cols = loaded.trace.columns()
-        assert (cols.pass_codes == 0).all()
-        assert (cols.host_pass_codes == 0).all()
-        assert loaded.trace.passes() == ["forward"]
 
     def test_training_trace_round_trip_through_disk(self, tmp_path):
         warm = TraceStore(tmp_path)

@@ -1,10 +1,11 @@
 """The binary columnar (schema v5) disk tier: zero-copy loads, round
-trips, back-compat, interning, corpus ops, concurrent writers."""
+trips, interning, corpus ops, concurrent writers."""
 
 from __future__ import annotations
 
+import dataclasses
+import gzip
 import multiprocessing
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +30,10 @@ from repro.trace.events import (
 from repro.trace.store import (
     StoredTrace,
     TraceStore,
-    read_legacy_json,
     set_default_store,
-    trace_from_payload,
-    trace_to_payload,
-    write_legacy_json,
 )
 from repro.trace.tracer import Trace
 from repro.workloads.registry import list_workloads
-
-FIXTURES = Path(__file__).parent.parent / "fixtures" / "trace_store"
 
 ALL_COLUMNS = [name for name, _ in KERNEL_COLUMN_SPEC + HOST_COLUMN_SPEC]
 
@@ -187,103 +182,36 @@ class TestZeroCopy:
         assert np.array_equal(again.trace.columns().flops, snapshot)
 
 
-class TestJsonBinaryEquivalence:
-    """The v5 path must be numerically invisible vs the JSON path."""
+class TestBinaryMatchesCapture:
+    """A v5 load must be numerically invisible vs the in-memory capture."""
 
     @pytest.mark.parametrize("workload", list_workloads())
-    def test_workload_columns_and_metrics_match_json_path(self, tmp_path, workload):
+    def test_workload_columns_and_metrics_match_capture(self, tmp_path, workload):
         store = TraceStore(tmp_path)
         stored = store.get_or_capture(workload, batch_size=4, backend="meta")
         key = store.make_key(workload, batch_size=4, backend="meta")
-
-        json_path = tmp_path / "baseline.json.gz"
-        write_legacy_json(json_path, trace_to_payload(stored, key))
-        via_json = trace_from_payload(read_legacy_json(json_path))
         _, via_binary = binfmt.read_entry(tmp_path / f"{key.digest()}.mmt",
                                           interner=store._interner)
 
-        assert_columns_equal(via_json.trace.columns(),
+        assert_columns_equal(stored.trace.columns(),
                              via_binary.trace.columns())
         assert engine_total(via_binary) == pytest.approx(
-            engine_total(via_json), rel=1e-9)
+            engine_total(stored), rel=1e-9)
 
-    def test_training_step_matches_json_path(self, tmp_path):
+    def test_training_step_matches_capture(self, tmp_path):
         store = TraceStore(tmp_path)
         stored = store.get_or_capture_training("avmnist", batch_size=2,
                                                backend="meta")
         key = store.make_key("avmnist", batch_size=2, backend="meta",
                              mode="train:adam")
-        json_path = tmp_path / "train.json.gz"
-        write_legacy_json(json_path, trace_to_payload(stored, key))
-        via_json = trace_from_payload(read_legacy_json(json_path))
         _, via_binary = binfmt.read_entry(tmp_path / f"{key.digest()}.mmt",
                                           interner=store._interner)
-        assert_columns_equal(via_json.trace.columns(),
+        assert_columns_equal(stored.trace.columns(),
                              via_binary.trace.columns())
         assert via_binary.trace.passes() == \
             ["forward", "loss", "backward", "optimizer"]
         assert engine_total(via_binary) == pytest.approx(
-            engine_total(via_json), rel=1e-9)
-
-
-class TestBackCompatFixtures:
-    """Committed v2/v3/v4 gzip-JSON files must load forever, and re-save
-    as v5."""
-
-    @pytest.mark.parametrize("schema", [2, 3, 4])
-    def test_fixture_loads(self, schema):
-        payload = read_legacy_json(FIXTURES / f"store_v{schema}.json.gz")
-        assert payload["schema"] == schema
-        stored = trace_from_payload(payload)
-        cols = stored.trace.columns()
-        assert cols.n == 3 and cols.host_n == 2
-        assert cols.stage_table == ("encoder", "head")
-        assert stored.model_name == "fixture_model"
-        if schema == 2:
-            # Pre-pass payloads decode as all-forward.
-            assert (cols.pass_codes == 0).all()
-            assert (cols.host_pass_codes == 0).all()
-        else:
-            assert list(cols.pass_codes) == [0, 0, 2]
-        if schema >= 4:
-            assert stored.extra == {"origin": f"fixture-v{schema}"}
-        else:
-            assert stored.extra == {}
-
-    @pytest.mark.parametrize("schema", [2, 3, 4])
-    def test_fixture_migrates_to_v5(self, tmp_path, schema):
-        src = FIXTURES / f"store_v{schema}.json.gz"
-        digest = "f" * 64
-        shutil.copy(src, tmp_path / f"{digest}.json.gz")
-        store = TraceStore(tmp_path)
-        before = trace_from_payload(read_legacy_json(src))
-
-        assert store.migrate() == 1
-        assert not list(tmp_path.glob("*.json.gz"))
-        binary = tmp_path / f"{digest}.mmt"
-        assert binary.exists()
-        header, after = binfmt.read_entry(binary, interner=store._interner)
-        assert header["key"]["code_version"] == "fix7ure000000"
-        assert_columns_equal(before.trace.columns(), after.trace.columns())
-
-    def test_legacy_entry_loads_through_get_then_upgrades_on_put(self, tmp_path):
-        """A v4 file warm-hits without migration; a re-put supersedes it."""
-        seeder = TraceStore(tmp_path)
-        entry = seeder.get_or_capture("avmnist", batch_size=2, backend="meta")
-        key = seeder.make_key("avmnist", batch_size=2, backend="meta")
-        # Rewind the disk tier to the legacy format.
-        (tmp_path / f"{key.digest()}.mmt").unlink()
-        write_legacy_json(tmp_path / f"{key.digest()}.json.gz",
-                          trace_to_payload(entry, key))
-
-        cold = TraceStore(tmp_path)
-        loaded = cold.get_or_capture("avmnist", batch_size=2, backend="meta")
-        assert cold.stats["disk_hits"] == 1 and cold.stats["captures"] == 0
-        assert_columns_equal(entry.trace.columns(), loaded.trace.columns())
-
-        cold.put(key, loaded)
-        assert (tmp_path / f"{key.digest()}.mmt").exists()
-        assert not (tmp_path / f"{key.digest()}.json.gz").exists()
+            engine_total(stored), rel=1e-9)
 
 
 class TestInterning:
@@ -323,6 +251,23 @@ class TestInterning:
         assert out.trace.total_flops > 0
 
 
+def put_stale_entry(store: TraceStore) -> Path:
+    """Write a v5 entry under a foreign code fingerprint; return its path."""
+    key = dataclasses.replace(
+        store.make_key("avmnist", batch_size=4, backend="meta"),
+        code_version="0" * 12)
+    entry = TraceStore().get_or_capture("avmnist", batch_size=4,
+                                        backend="meta")
+    store.put(key, entry)
+    return store.cache_dir / f"{key.digest()}{binfmt.SUFFIX}"
+
+
+def write_gzip_json(path: Path) -> Path:
+    """A leftover pre-v5 entry: only its name matters, it is never parsed."""
+    path.write_bytes(gzip.compress(b'{"schema": 4}'))
+    return path
+
+
 class TestCorpusOps:
     def test_prefetch_maps_whole_corpus_in_one_pass(self, tmp_path):
         seeder = TraceStore(tmp_path)
@@ -345,23 +290,44 @@ class TestCorpusOps:
         assert cold.prefetch(keys) == 1  # the batch-64 trace was never stored
         assert cold.stats["misses"] == 1
 
-    def test_entries_lists_both_formats(self, tmp_path):
+    def test_gzip_json_twin_is_ignored_and_collected(self, tmp_path):
+        """A pre-v5 ``.json.gz`` file next to a v5 entry of the same digest
+        neither makes the digest ambiguous nor loads, and gc removes it."""
         store = TraceStore(tmp_path)
         entry = store.get_or_capture("avmnist", batch_size=2, backend="meta")
-        key = store.make_key("avmnist", batch_size=4, backend="meta")
-        write_legacy_json(tmp_path / f"{key.digest()}.json.gz",
-                          trace_to_payload(entry, key))
+        key = store.make_key("avmnist", batch_size=2, backend="meta")
+        digest = key.digest()
+        twin = write_gzip_json(tmp_path / f"{digest}.json.gz")
+
+        loaded = TraceStore(tmp_path).load_digest(digest[:12])
+        assert_columns_equal(entry.trace.columns(), loaded.trace.columns())
+        assert [i["digest"] for i in store.entries()] == [digest]
+        assert TraceStore(tmp_path).prefetch() == 1
+
+        (tmp_path / f"{digest}.mmt").unlink()
+        cold = TraceStore(tmp_path)
+        assert cold.get(key) is None
+        assert cold.stats["misses"] == 1 and cold.stats["corrupt"] == 0
+        assert twin.exists()  # ignored, not quarantined
+
+        assert cold.gc()["stale"] == 1
+        assert not twin.exists()
+
+    def test_entries_lists_every_v5_entry(self, tmp_path):
+        store = TraceStore(tmp_path)
+        for batch_size in (2, 4):
+            store.get_or_capture("avmnist", batch_size=batch_size,
+                                 backend="meta")
         infos = store.entries()
-        assert sorted(i["format"] for i in infos) == ["json", "v5"]
+        assert len(infos) == 2
+        assert all(i["schema"] == 5 for i in infos)
         assert all(i["status"] == "ok" and not i["stale"] for i in infos)
         assert all(i["n"] > 0 for i in infos)
 
     def test_gc_removes_stale_corrupt_and_torn(self, tmp_path):
         store = TraceStore(tmp_path)
+        put_stale_entry(store)
         store.get_or_capture("avmnist", batch_size=2, backend="meta")
-        # A stale legacy entry (fixture fingerprint is not the live one).
-        shutil.copy(FIXTURES / "store_v4.json.gz",
-                    tmp_path / ("a" * 64 + ".json.gz"))
         (tmp_path / "leftover.tmp").write_bytes(b"torn write")
         (tmp_path / ("b" * 64 + ".mmt")).write_bytes(b"garbage")
 
@@ -374,11 +340,12 @@ class TestCorpusOps:
 
     def test_gc_keep_stale(self, tmp_path):
         store = TraceStore(tmp_path)
-        shutil.copy(FIXTURES / "store_v4.json.gz",
-                    tmp_path / ("a" * 64 + ".json.gz"))
+        stale = put_stale_entry(store)
+        leftover = write_gzip_json(tmp_path / ("a" * 64 + ".json.gz"))
         removed = store.gc(stale=False)
         assert removed["stale"] == 0
-        assert list(tmp_path.glob("*.json.gz"))
+        assert stale.exists() and leftover.exists()
+        assert [i["stale"] for i in store.entries()] == [True]
 
     def test_gc_drops_sidecar_when_no_binary_entries_remain(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -390,6 +357,50 @@ class TestCorpusOps:
         store.clear()
         out = store.get_or_capture("avmnist", batch_size=2, backend="meta")
         assert out.trace.total_flops > 0
+
+
+class TestLeftoverGzipJson:
+    """Only ``gc`` and ``clear`` touch leftover pre-v5 ``*.json.gz`` files."""
+
+    def test_gc_removes_unparseable_gzip_json_without_quarantine(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.get_or_capture("avmnist", batch_size=2, backend="meta")
+        (tmp_path / ("d" * 64 + ".json.gz")).write_bytes(b"not gzip at all")
+        removed = store.gc()
+        assert removed == {"corrupt": 0, "tmp": 0, "stale": 1,
+                           "unreadable": 0}
+        assert not list(tmp_path.glob("*.json.gz"))
+        assert not list(tmp_path.glob("*.corrupt"))
+        assert len(store.entries()) == 1
+
+    def test_gc_matches_only_the_gzip_json_suffix(self, tmp_path):
+        store = TraceStore(tmp_path)
+        write_gzip_json(tmp_path / ("e" * 64 + ".json.gz"))
+        keep = [tmp_path / "notes.json", tmp_path / "archive.gz"]
+        for path in keep:
+            path.write_bytes(b"{}")
+        assert store.gc()["stale"] == 1
+        assert all(path.exists() for path in keep)
+
+    def test_put_leaves_gzip_json_twin_for_gc(self, tmp_path):
+        store = TraceStore(tmp_path)
+        key = store.make_key("avmnist", batch_size=2, backend="meta")
+        twin = write_gzip_json(tmp_path / f"{key.digest()}.json.gz")
+        store.get_or_capture("avmnist", batch_size=2, backend="meta")
+        assert store.stats["captures"] == 1
+        assert twin.exists()
+        assert store.gc()["stale"] == 1
+        assert not twin.exists()
+
+    def test_clear_disk_removes_gzip_json(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.get_or_capture("avmnist", batch_size=2, backend="meta")
+        leftover = write_gzip_json(tmp_path / ("f" * 64 + ".json.gz"))
+        store.clear()
+        assert leftover.exists()
+        store.clear(disk=True)
+        assert not leftover.exists()
+        assert not list(tmp_path.glob(f"*{binfmt.SUFFIX}"))
 
 
 def _hammer_puts(cache_dir: str, n_iters: int) -> None:
