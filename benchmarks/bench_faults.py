@@ -4,7 +4,7 @@ Measures what the fault-injection subsystem costs on the event-loop hot
 path: the same nine-tenant, four-device mixed-serving run as
 ``bench_serving_mix.py`` is simulated fault-free, then under the
 ``single-failure`` and ``thermal-brownout`` chaos scenarios (with retry
-accounting and the conservation invariant checked at every event). The
+accounting and the conservation invariant checked at every epoch). The
 gate fails if either faulted run takes more than ``--overhead`` (default
 25%) longer than the fault-free baseline — the fault branches must stay
 off the fast path when nothing is failing and cheap when something is.

@@ -360,20 +360,15 @@ def _cmd_serve_mix(args) -> int:
 
 def _cmd_serve_fleet(args) -> int:
     """The ``mmbench serve --fleet`` path: device groups + autoscaling."""
-    import os
-
     from repro.serving import (
-        chaos_plan,
         fleet_summary,
         get_scenario,
-        load_fault_plan,
         make_policy,
         make_tenants,
         parse_autoscale,
         parse_groups,
         simulate_fleet,
     )
-    from repro.serving.faults import CHAOS_SCENARIO_NAMES
     from repro.workloads.registry import get_workload
 
     from repro.hw.device import get_device
@@ -392,8 +387,9 @@ def _cmd_serve_fleet(args) -> int:
         if args.finetune_workloads is not None:
             raise ValueError("--finetune-workloads doesn't apply to --fleet")
         if args.request_deadline is not None or args.degrade_after is not None:
-            raise ValueError("--request-deadline/--degrade-after are classic-"
-                             "simulator features; the fleet loop never sheds")
+            raise ValueError("--request-deadline/--degrade-after don't apply "
+                             "to --fleet; fleet runs retry aborted requests "
+                             "with the default retry policy and no deadline")
         get_scenario(scenario)
         policy_names = args.policy.split(",")
 
@@ -432,34 +428,8 @@ def _cmd_serve_fleet(args) -> int:
             autoscale = parse_autoscale(args.autoscale,
                                         min_replicas=args.autoscale_min,
                                         max_replicas=args.autoscale_max)
-        group_names = tuple(g.device for g in groups)
-        plan = None
-        if args.faults is not None:
-            if args.faults in CHAOS_SCENARIO_NAMES:
-                if args.arrival_rate is None:
-                    raise ValueError(
-                        f"--faults {args.faults} needs --arrival-rate to size "
-                        "its horizon (n_requests / rate)")
-                horizon = args.n_requests / args.arrival_rate
-                plan = chaos_plan(args.faults, group_names, horizon,
-                                  seed=args.seed)
-            elif os.path.exists(args.faults):
-                plan = load_fault_plan(args.faults)
-            else:
-                raise ValueError(
-                    f"--faults must name a chaos scenario "
-                    f"({', '.join(CHAOS_SCENARIO_NAMES)}) or an existing plan "
-                    f"JSON file, got {args.faults!r}")
-            # Validate at group granularity up front: unknown groups and
-            # slot-level stall events get one clean line, not a traceback.
-            resolved = plan.resolve(list(group_names),
-                                    {g: g for g in group_names})
-            if any(kind == "stall" for _, _, kind, _, _ in resolved):
-                raise ValueError(
-                    f"--faults {args.faults} contains transient stalls, "
-                    "which are slot-level events the fleet loop rejects; "
-                    "pick a stall-free scenario (e.g. single-failure, "
-                    "thermal-brownout) or run without --fleet")
+        # Fault events name groups; fleet runs retry with RetryPolicy().
+        plan = _build_fault_inputs(args, tuple(g.device for g in groups))[0]
         from repro.lint import check, lint_fleet
 
         check(lint_fleet(groups, autoscale=autoscale, faults=plan,

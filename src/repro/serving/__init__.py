@@ -15,11 +15,11 @@ with a discrete-event simulator driven by memoized profiler cost models:
 * :mod:`repro.serving.faults` — declarative fault plans (device loss,
   thermal throttling, stalls), retry/shed accounting, graceful
   degradation, and the named chaos scenarios
-* :mod:`repro.serving.simulator` — the event loop (single- and
-  multi-tenant) and its report
-* :mod:`repro.serving.fleet` — fleet-scale simulator: homogeneous
-  device groups, vectorized epochs, cross-group hop costs, reactive
-  autoscaling
+* :mod:`repro.serving.simulator` — single- and multi-tenant front ends
+  over a device pool, and their report
+* :mod:`repro.serving.fleet` — the serving engine every front end runs:
+  labelled device groups, vectorized epochs, faults, cross-group hop
+  costs, reactive autoscaling
 * :mod:`repro.serving.report` — formatted throughput–tail-latency tables
 """
 
@@ -102,7 +102,6 @@ from repro.serving.router import (
     EarliestFinishRouter,
     RoundRobinRouter,
     Router,
-    RouterScaleError,
     make_router,
 )
 from repro.serving.scenarios import (
@@ -144,7 +143,7 @@ __all__ = [
     "format_tenant_breakdown", "mixed_serving_summary", "serving_summary",
     "Request", "RequestColumns", "closed_arrivals", "make_mixed_requests",
     "make_requests", "poisson_arrivals", "sort_request_columns",
-    "EarliestFinishRouter", "RoundRobinRouter", "Router", "RouterScaleError",
+    "EarliestFinishRouter", "RoundRobinRouter", "Router",
     "make_router",
     "SCENARIO_NAMES", "SCENARIOS", "Scenario", "get_scenario", "make_tenants",
     "scenario_columns", "scenario_requests",

@@ -10,20 +10,22 @@ degrade gracefully instead of losing requests.
 
 A :class:`FaultPlan` is a declarative, seeded timeline of events:
 
-* :class:`DeviceDown` / :class:`DeviceRecover` — a device slot leaves /
-  rejoins the pool. In-flight batches on a failing slot are **aborted**
-  and their requests re-queued with retry accounting (bounded retries,
-  exponential backoff with deterministic jitter).
+* :class:`DeviceDown` / :class:`DeviceRecover` — a device slot (or
+  fleet group) leaves / rejoins the pool. In-flight batches on a failing
+  device are **aborted** and their requests re-queued with retry
+  accounting (bounded retries, exponential backoff with deterministic
+  jitter).
 * :class:`ThermalThrottle` — a time-windowed latency multiplier on one
-  slot (batches dispatched inside the window run ``factor`` slower, and
-  batching/routing decisions see the throttled curves).
-* :class:`TransientStall` — the slot freezes for ``duration`` seconds:
-  an in-flight batch finishes late, an idle slot accepts no work.
+  device (batches dispatched inside the window run ``factor`` slower,
+  and batching/routing decisions see the throttled curves); overlapping
+  windows multiply.
+* :class:`TransientStall` — the device freezes for ``duration`` seconds:
+  an in-flight batch finishes late, an idle replica accepts no work.
 
 Requests are never silently lost: a request either completes or is
 **shed** (bounded retries exhausted, or its deadline expired), and the
-event loop enforces ``completed + shed + in_flight == issued`` at every
-step. Tenants may also declare a :class:`DegradedMode`: under sustained
+serving engine (:mod:`repro.serving.fleet`) checks ``issued == completed
++ shed + queued + on_device + awaiting_retry`` at every epoch. Tenants may also declare a :class:`DegradedMode`: under sustained
 pressure (oldest queued request waiting past ``enter_wait``) the tenant
 drops to a cheaper serving configuration — modelled as shedding its
 costliest modality encoder, the ``scale_trace``-style trace reduction —
@@ -462,327 +464,6 @@ class FaultStats:
     @property
     def total_downtime(self) -> float:
         return sum(d.downtime for d in self.devices.values())
-
-
-# ---------------------------------------------------------------------------
-# Runtime: the engine the event loop drives
-# ---------------------------------------------------------------------------
-
-
-class FaultRuntime:
-    """Mutable per-run state of one fault plan + retry policy.
-
-    Owned by :func:`repro.serving.simulator._run_event_loop`; maintains
-    the conservation counters (``issued == completed + shed + queued +
-    on_device + awaiting_retry`` — checked at every event), the live
-    throttle scales the cost wrappers consult, and the raw material for
-    :class:`FaultStats`.
-    """
-
-    def __init__(self, plan: FaultPlan, retry: RetryPolicy,
-                 slot_labels: Sequence[str], slot_device: Mapping[str, str]):
-        self.plan = plan
-        self.retry = retry
-        self.happenings = plan.resolve(slot_labels, slot_device)
-        self._slot_device = dict(slot_device)
-        # Live throttle multiplier per slot (absent == 1.0); _SlotCost reads it.
-        self.scale: dict[str, float] = {}
-        self._active_throttles: dict[str, list[float]] = {}
-        # Conservation counters.
-        self.queued = 0
-        self.on_device = 0
-        self.awaiting_retry = 0
-        self.completed = 0
-        self.shed = 0
-        self.retries = 0
-        # Per-slot accounting.
-        self._down_since: dict[str, float] = {}
-        self._down_windows: dict[str, list[tuple[float, float]]] = {}
-        self._stall_time: dict[str, float] = {}
-        self._aborted_batches: dict[str, int] = {}
-        self._aborted_requests: dict[str, int] = {}
-        # Per-tenant accounting.
-        self._tenant_shed: dict[str, int] = {}
-        self._degraded_requests: dict[str, int] = {}
-        self._degraded_since: dict[str, float] = {}
-        self._degraded_time: dict[str, float] = {}
-        self._degraded_activations: dict[str, int] = {}
-        # Recovery-time samples: request index -> last abort time.
-        self._abort_time: dict[int, float] = {}
-        self.recovery_samples: list[float] = []
-
-    # -- conservation -----------------------------------------------------------
-
-    def check_conservation(self, issued: int) -> None:
-        accounted = (self.completed + self.shed + self.queued
-                     + self.on_device + self.awaiting_retry)
-        if accounted != issued:
-            raise RuntimeError(
-                f"request conservation violated: issued={issued} but "
-                f"completed={self.completed} + shed={self.shed} + "
-                f"queued={self.queued} + on_device={self.on_device} + "
-                f"awaiting_retry={self.awaiting_retry} = {accounted}")
-
-    # -- event application -------------------------------------------------------
-
-    def apply(self, happening, now: float, by_label, router, push) -> float | None:
-        """Apply one fault happening; returns a makespan bump, if any."""
-        kind, label, arg = happening
-        slot = by_label[label]
-        if kind == "down":
-            slot.down = True
-            router.note_down(label)
-            self._down_since[label] = now
-            if slot.inflight is not None:
-                return self._abort(slot, now, push)
-        elif kind == "recover":
-            slot.down = False
-            router.note_recover(label)
-            start = self._down_since.pop(label, now)
-            self._down_windows.setdefault(label, []).append((start, now))
-            if slot.free_at < now:
-                slot.free_at = now
-        elif kind == "throttle-on":
-            active = self._active_throttles.setdefault(label, [])
-            active.append(arg)
-            self.scale[label] = float(np.prod(active))
-        elif kind == "throttle-off":
-            active = self._active_throttles.get(label, [])
-            if arg in active:
-                active.remove(arg)
-            if active:
-                self.scale[label] = float(np.prod(active))
-            else:
-                self.scale.pop(label, None)
-        elif kind == "stall":
-            if slot.down:
-                return None  # a dead device cannot stall further
-            self._stall_time[label] = self._stall_time.get(label, 0.0) + arg
-            if slot.inflight is not None:
-                finish, batch = slot.inflight
-                new_finish = finish + arg
-                for req in batch:
-                    req.finish = new_finish
-                slot.inflight = (new_finish, batch)
-                slot.free_at = new_finish
-                push(new_finish, "free", label)
-                return new_finish
-            stalled_until = now + arg
-            if stalled_until > slot.stalled_until:
-                slot.stalled_until = stalled_until
-            push(stalled_until, "fault", ("stall-end", label, None))
-        # "stall-end" wakes the loop so offers resume; nothing to mutate.
-        return None
-
-    def _abort(self, slot, now: float, push) -> None:
-        """Abort the in-flight batch on a failing slot; re-queue or shed."""
-        finish, batch = slot.inflight
-        slot.inflight = None
-        size = len(batch)
-        slot.free_at = now
-        slot.busy_time -= finish - now  # only the executed part counts
-        slot.batches -= 1
-        slot.requests -= size
-        count = slot.histogram.get(size, 0) - 1
-        if count > 0:
-            slot.histogram[size] = count
-        else:
-            slot.histogram.pop(size, None)
-        self._aborted_batches[slot.label] = (
-            self._aborted_batches.get(slot.label, 0) + 1)
-        self._aborted_requests[slot.label] = (
-            self._aborted_requests.get(slot.label, 0) + size)
-        self.on_device -= size
-        for req in batch:
-            req.dispatch = float("nan")
-            req.finish = float("nan")
-            req.device = ""
-            req.batch_size = 0
-            req.formation_wait = 0.0
-            req.degraded = False
-            req.retries += 1
-            if req.retries > self.retry.max_retries:
-                self.shed_request(req, now)
-            elif (self.retry.deadline is not None
-                  and now - req.arrival >= self.retry.deadline):
-                self.shed_request(req, now)
-            else:
-                self.retries += 1
-                self._abort_time[req.index] = now
-                push(now + self.retry.backoff(req.index, req.retries),
-                     "retry", req)
-                self.awaiting_retry += 1
-        return None
-
-    # -- request lifecycle hooks -------------------------------------------------
-
-    def shed_request(self, req, now: float) -> None:
-        req.shed = True
-        self.shed += 1
-        self._tenant_shed[req.tenant] = self._tenant_shed.get(req.tenant, 0) + 1
-        self._abort_time.pop(req.index, None)
-
-    def absorb_retry(self, req, now: float, tenants) -> None:
-        """A backoff expired: re-queue the request (or shed past deadline)."""
-        self.awaiting_retry -= 1
-        if (self.retry.deadline is not None
-                and now - req.arrival >= self.retry.deadline):
-            self.shed_request(req, now)
-            return
-        queue = tenants[req.tenant].queue
-        if not queue or req.arrival <= queue[0].arrival:
-            queue.appendleft(req)
-        elif req.arrival >= queue[-1].arrival:
-            queue.append(req)
-        else:
-            items = sorted([*queue, req], key=lambda r: r.arrival)
-            queue.clear()
-            queue.extend(items)
-        self.queued += 1
-
-    def shed_expired(self, tenants, now: float) -> None:
-        """Shed queue heads whose deadline expired (queues are arrival-sorted)."""
-        deadline = self.retry.deadline
-        if deadline is None:
-            return
-        for tenant in tenants.values():
-            queue = tenant.queue
-            while queue and now - queue[0].arrival >= deadline:
-                self.queued -= 1
-                self.shed_request(queue.popleft(), now)
-
-    def note_dispatch(self, size: int, degraded: bool, tenant: str) -> None:
-        self.queued -= size
-        self.on_device += size
-        if degraded:
-            self._degraded_requests[tenant] = (
-                self._degraded_requests.get(tenant, 0) + size)
-
-    def complete(self, label: str, now: float, by_label) -> None:
-        """A slot's free event fired: finalize its batch if genuinely done."""
-        slot = by_label[label]
-        inflight = slot.inflight
-        if inflight is None or inflight[0] > now:
-            return  # stale event (aborted batch, or stall-delayed finish)
-        _, batch = inflight
-        slot.inflight = None
-        self.on_device -= len(batch)
-        self.completed += len(batch)
-        for req in batch:
-            aborted_at = self._abort_time.pop(req.index, None)
-            if aborted_at is not None:
-                self.recovery_samples.append(req.finish - aborted_at)
-
-    def update_degraded(self, tenant, now: float) -> None:
-        """Enter/exit degraded mode on queue-pressure hysteresis."""
-        mode = tenant.mode
-        if mode is None or not tenant.queue:
-            return
-        oldest_wait = now - tenant.queue[0].arrival
-        if not tenant.degraded and oldest_wait >= mode.enter_wait:
-            tenant.degraded = True
-            tenant.slot_cost.extra_scale = mode.latency_factor
-            self._degraded_since[tenant.name] = now
-            self._degraded_activations[tenant.name] = (
-                self._degraded_activations.get(tenant.name, 0) + 1)
-        elif tenant.degraded and oldest_wait <= mode.exit_wait:
-            tenant.degraded = False
-            tenant.slot_cost.extra_scale = 1.0
-            start = self._degraded_since.pop(tenant.name, now)
-            self._degraded_time[tenant.name] = (
-                self._degraded_time.get(tenant.name, 0.0) + (now - start))
-
-    # -- reporting ---------------------------------------------------------------
-
-    def build_stats(self, makespan: float, requests, tenants) -> FaultStats:
-        """Collapse the run's fault bookkeeping into a :class:`FaultStats`.
-
-        ``tenants`` maps tenant name to its :class:`DegradedMode` (or
-        ``None``) and SLO, as ``(mode, slo)`` pairs.
-        """
-        # Close windows still open at drain time.
-        down_windows = {k: list(v) for k, v in self._down_windows.items()}
-        for label, since in self._down_since.items():
-            down_windows.setdefault(label, []).append((since, makespan))
-        for name, since in self._degraded_since.items():
-            self._degraded_time[name] = (
-                self._degraded_time.get(name, 0.0) + (makespan - since))
-        self._degraded_since.clear()
-
-        throttle_windows: dict[str, list[tuple[float, float, float]]] = {}
-        for when, _, kind, slot, arg in self.happenings:
-            if kind != "throttle-on":
-                continue
-            until = next((w for w, _, k, s, a in self.happenings
-                          if k == "throttle-off" and s == slot and a == arg
-                          and w > when), makespan)
-            start = min(when, makespan)
-            end = min(until, makespan)
-            if end > start:
-                throttle_windows.setdefault(slot, []).append((start, end, arg))
-
-        devices: dict[str, DeviceFaultStats] = {}
-        labels = (set(down_windows) | set(throttle_windows)
-                  | set(self._stall_time) | set(self._aborted_batches))
-        for label in sorted(labels):
-            windows = down_windows.get(label, [])
-            throttles = throttle_windows.get(label, [])
-            devices[label] = DeviceFaultStats(
-                slot=label,
-                device=self._slot_device.get(label, label),
-                downtime=sum(b - a for a, b in windows),
-                down_windows=windows,
-                throttle_time=sum(b - a for a, b, _ in throttles),
-                throttle_windows=throttles,
-                stall_time=self._stall_time.get(label, 0.0),
-                aborted_batches=self._aborted_batches.get(label, 0),
-                aborted_requests=self._aborted_requests.get(label, 0),
-            )
-
-        retry_histogram: dict[int, int] = {}
-        for req in requests:
-            if req.retries:
-                retry_histogram[req.retries] = (
-                    retry_histogram.get(req.retries, 0) + 1)
-
-        tenant_stats: dict[str, TenantFaultStats] = {}
-        names = (set(tenants) | set(self._tenant_shed)
-                 | set(self._degraded_requests))
-        for name in sorted(names):
-            mode, slo = tenants.get(name, (None, None))
-            attainment = None
-            if slo is not None:
-                degraded = [r.latency for r in requests
-                            if r.tenant == name and r.degraded and not r.shed]
-                if degraded:
-                    attainment = float(np.mean(np.array(degraded) <= slo))
-            tenant_stats[name] = TenantFaultStats(
-                tenant=name,
-                shed=self._tenant_shed.get(name, 0),
-                degraded_available=mode is not None,
-                degraded_requests=self._degraded_requests.get(name, 0),
-                degraded_slo_attainment=attainment,
-                degraded_time=self._degraded_time.get(name, 0.0),
-                degraded_activations=self._degraded_activations.get(name, 0),
-                accuracy_cost=mode.accuracy_cost if mode is not None else None,
-            )
-
-        samples = np.array(self.recovery_samples, dtype=np.float64)
-        p50, p99 = ((float(np.percentile(samples, 50)),
-                     float(np.percentile(samples, 99)))
-                    if samples.size else (0.0, 0.0))
-        return FaultStats(
-            plan_events=len(self.plan.events),
-            issued=self.completed + self.shed,
-            completed=self.completed,
-            shed=self.shed,
-            retries=self.retries,
-            retry_histogram=dict(sorted(retry_histogram.items())),
-            recovery_p50=p50,
-            recovery_p99=p99,
-            devices=devices,
-            tenants=tenant_stats,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Fleet-scale serving simulator: device groups, vectorized epochs, autoscaling.
+"""The serving engine: labelled device groups, vectorized epochs, autoscaling.
 
-The classic simulator (:mod:`repro.serving.simulator`) pops one Python
-object per event off a heap — exact, but ~250k simulated req/s on a
-handful of devices. A production fleet is a different shape: *hundreds*
-of replicas behind a global router, almost all of them interchangeable.
-This module exploits that structure. Devices are grouped into
-homogeneous :class:`DeviceGroup`\\ s (``DeviceGroup("2080ti", 64)``),
-and the event loop processes *epochs* of events as numpy arrays per
-group:
+Every serving front end runs this engine. :func:`simulate_fleet` serves
+a fleet of homogeneous :class:`DeviceGroup`\\ s (``DeviceGroup("2080ti",
+64)``), each labelled by its device name;
+:func:`~repro.serving.simulator.simulate` and
+:func:`~repro.serving.simulator.simulate_mixed` turn a device pool into
+one single-replica group per slot, labelled ``2080ti#0``, ``2080ti#1``,
+``orin`` and so on. The event loop processes *epochs* of events as numpy
+arrays per group:
 
 * arrivals come in as columnar arrays straight from
   :func:`repro.serving.scenarios.scenario_columns` and are absorbed in
@@ -21,17 +21,29 @@ group:
   finish-time heap push theirs back, so no epoch scans a vector;
 * batch latencies reuse the cost models' memoized anchor curves
   (:class:`~repro.serving.costmodel.ProfiledCostModel`) as a dense
-  precomputed interpolation table per (tenant, device), so the hot loop
+  precomputed interpolation table per (tenant, group), so the hot loop
   never re-enters the interpolator; the adaptive policy's batch search
   reads the table directly (``latency_table``).
 
-Routing happens per *group*, not per slot: every replica of a group
-shares one latency curve, so ranking 64 identical slots is 63 wasted
-cost-model calls. Each tenant's ranking of all groups is cached per
-probe batch size and filtered down to the idle groups; while a thermal
-throttle rescales a curve, the idle groups are sorted afresh. On top of
-the core loop:
+Routing happens per *group*, not per replica: every replica of a group
+shares one latency curve. The default earliest-finish placement caches
+each tenant's ranking of all groups per probe batch size and filters it
+down to the idle groups; while a thermal throttle or a degraded mode
+rescales a curve, the idle groups are sorted afresh. Any other
+:class:`~repro.serving.router.Router` ranks the idle group labels itself
+and hears about dispatches, downs and recoveries. On top of the core
+loop:
 
+* **faults** — a :class:`~repro.serving.faults.FaultPlan` names group
+  labels, or a device model that expands to every group of it.
+  ``DeviceDown`` aborts the group's in-flight batches and their requests
+  retry under a :class:`~repro.serving.faults.RetryPolicy` (or are shed
+  past its bounds); ``TransientStall`` stretches in-flight batches and
+  blocks idle replicas for its duration; overlapping ``ThermalThrottle``
+  windows multiply. Tenants with a
+  :class:`~repro.serving.faults.DegradedMode` serve cheaper under queue
+  pressure. Given a fault plan or retry policy, the engine checks
+  request conservation at every epoch;
 * **cross-group hop costs** — when the router moves a tenant's traffic
   to a different group than its previous batch, the batch pays a
   host-to-device transfer (:func:`repro.hw.transfer.h2d_time`) of
@@ -39,35 +51,29 @@ the core loop:
 * **reactive autoscaling** — an :class:`AutoscalePolicy` evaluated on a
   fixed interval scales groups out on queue depth (or windowed p99) and
   back in on idleness, with cooldowns and per-group min/max replicas;
-  every action lands in the report as a :class:`ScalingEvent`.
+  scale-in lets busy replicas finish their batches, and every action
+  lands in the report as a :class:`ScalingEvent`.
 
-The classic loop stays as the *reference implementation*: with
-autoscaling off, no faults and no hop costs, :func:`simulate_fleet`
-visits a subset of the classic loop's event times but makes the
-identical dispatch decisions at the identical instants, so completions,
-latency percentiles and per-tenant SLO attainment agree to float
-round-off — a tier-1-enforced differential invariant.
-
-Fault plans compose at group granularity: ``DeviceDown``/``Recover``
-takes a whole group out of routing (in-flight batches *drain* — their
-timing was finalized at dispatch — rather than aborting as the classic
-fault runtime does), and ``ThermalThrottle`` scales a group's latency
-curves for its window. Slot-level ``TransientStall`` events have no
-group-level meaning and are rejected.
+``tests/serving/classic_reference.py`` keeps a deliberately naive
+per-event loop as the differential oracle for all of this.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.hw.transfer import h2d_time
-from repro.serving.faults import FaultPlan
-from repro.serving.simulator import TenantSpec, TenantStats
+from repro.serving.faults import (DeviceFaultStats, FaultPlan, FaultStats,
+                                  RetryPolicy, TenantFaultStats)
+
+if TYPE_CHECKING:
+    from repro.serving.simulator import TenantSpec, TenantStats
 
 __all__ = [
     "AutoscalePolicy",
@@ -130,7 +136,7 @@ class AutoscalePolicy:
       ``idle_fraction`` of the group's active replicas sit idle — the
       group shrinks by ``step`` down to ``min_replicas``. Scale-in only
       retires *capacity*: a busy replica keeps draining its in-flight
-      batch (timing is finalized at dispatch, nothing is ever aborted).
+      batch.
     * ``cooldown`` suppresses any action on a group within ``cooldown``
       seconds of its previous action.
     """
@@ -188,7 +194,7 @@ class ScalingEvent:
 class GroupStats:
     """Per-group accounting of one fleet simulation."""
 
-    group: str  # device model name
+    group: str  # group label (its device model name)
     replicas: int  # active replicas at the end of the run
     peak_replicas: int
     mean_replicas: float  # time-weighted mean active replicas (occupancy)
@@ -222,18 +228,22 @@ class FleetReport:
     tenant_stats: dict[str, TenantStats]
     scaling_events: tuple[ScalingEvent, ...] = ()
     latencies: np.ndarray = field(default_factory=lambda: np.empty(0),
-                                  repr=False)
+                                  repr=False)  # completed requests only
+    # What the fault plan did to the run; None when no plan was given.
+    fault_stats: FaultStats | None = None
 
     def slo_attainment(self, slo: float) -> float:
-        """Fraction of requests whose end-to-end latency met ``slo``."""
-        if not self.latencies.size:
+        """Fraction of issued requests whose end-to-end latency met ``slo``
+        (shed requests count as misses)."""
+        if not self.n_requests:
             return 1.0
-        return float((self.latencies <= slo).mean())
+        return int((self.latencies <= slo).sum()) / self.n_requests
 
     @property
     def completed(self) -> int:
-        """Dispatch finalizes timing and the fleet never sheds: all of them."""
-        return self.n_requests
+        """Requests that actually finished (``n_requests`` minus sheds)."""
+        shed = self.fault_stats.shed if self.fault_stats is not None else 0
+        return self.n_requests - shed
 
 
 @dataclass(frozen=True)
@@ -328,7 +338,7 @@ def _dense_curve(cost, device: str, max_k: int) -> np.ndarray | None:
     through the exact per-query fallback. The vectorized interpolation
     reproduces :func:`repro.serving.costmodel._interp_affine`
     operation-for-operation, so table lookups are bit-identical to the
-    scalar path the classic simulator takes.
+    scalar ``cost.latency`` path.
     """
     anchors = getattr(cost, "_anchor_arr", None)
     curve_fn = getattr(cost, "_anchor_curve", None)
@@ -351,59 +361,88 @@ def _dense_curve(cost, device: str, max_k: int) -> np.ndarray | None:
 
 
 class _GroupCost:
-    """Per-tenant cost adapter the policies and the group router see.
+    """Per-tenant cost adapter the policies and the router see.
 
-    Groups are addressed by device model name, so ``device_name`` is the
-    identity and ``underlying`` exposes the tenant's cost model — the
-    same contract the classic loop's ``_SlotCost`` provides, which keeps
-    :class:`~repro.serving.policies.AdaptiveSLOPolicy`'s drain memo
-    shared (and valid) across both simulators.
+    Groups are addressed by label (``2080ti``, or ``2080ti#1`` for one
+    slot of a pool): ``device_name`` maps a label to its device model and
+    ``underlying`` exposes the tenant's cost model, so
+    :class:`~repro.serving.policies.AdaptiveSLOPolicy`'s drain memo keys
+    on something that outlives the run.
 
-    ``throttle`` is the live group → factor dict the fault edges mutate.
-    Dense tables are Python lists: indexing one returns a float without
-    boxing a numpy scalar.
+    A batch costs the model's latency times three multipliers, applied in
+    this order: ``scale`` (the slowdown background fine-tuning imposes,
+    fixed for a run), the group's live thermal-throttle product (the
+    shared ``throttle`` dict the fault edges mutate) and ``degrade`` (the
+    tenant's degraded-mode factor while it is degraded). Dense tables are
+    Python lists: indexing one returns a float without boxing a numpy
+    scalar. While a multiplier applies, each table is rescaled once per
+    :meth:`refresh`; numpy multiplies elementwise exactly as Python does,
+    so table and scalar paths still agree bit for bit.
     """
 
-    __slots__ = ("underlying", "_max_k", "_tables", "_memo", "_throttle")
+    __slots__ = ("underlying", "scale", "degrade", "plain", "_devices",
+                 "_max_k", "_tables", "_scaled", "_memo", "_throttle")
 
-    def __init__(self, cost, throttle: dict[str, float], max_k: int):
+    def __init__(self, cost, throttle: dict[str, float], max_k: int,
+                 devices: dict[str, str] | None = None, scale: float = 1.0):
         self.underlying = cost
+        self.scale = scale
+        self.degrade = 1.0
+        self._devices = devices or {}
         self._max_k = min(int(max_k), _MAX_TABLE)
         self._tables: dict[str, list[float] | None] = {}
         self._memo: dict[tuple[str, int], float] = {}
         self._throttle = throttle
+        self.refresh()
 
-    def _table(self, device: str) -> list[float] | None:
-        if device not in self._tables:
-            table = _dense_curve(self.underlying, device, self._max_k)
-            self._tables[device] = None if table is None else table.tolist()
-        return self._tables[device]
+    def refresh(self) -> None:
+        """Call after ``degrade`` or the throttle dict changed."""
+        self.plain = (self.scale == 1.0 and self.degrade == 1.0
+                      and not self._throttle)
+        self._scaled: dict[str, list[float] | None] = {}  # label -> table
 
-    def latency(self, device: str, batch_size: int) -> float:
-        table = self._table(device)
-        if table is not None and 1 <= batch_size <= len(table):
-            base = table[batch_size - 1]
-        else:
-            key = (device, batch_size)
-            base = self._memo.get(key)
-            if base is None:
-                base = self._memo[key] = float(
-                    self.underlying.latency(device, batch_size))
-        if self._throttle:
-            factor = self._throttle.get(device)
-            if factor is not None:
-                base *= factor
+    def _table(self, label: str) -> list[float] | None:
+        if label not in self._tables:
+            table = _dense_curve(self.underlying, self.device_name(label),
+                                 self._max_k)
+            self._tables[label] = None if table is None else table.tolist()
+        return self._tables[label]
+
+    def _rescale(self, label: str, base):
+        """``base`` (a float or an array) times the live multipliers."""
+        if self.scale != 1.0:
+            base = base * self.scale
+        factor = self._throttle.get(label)
+        if factor is not None:
+            base = base * factor
+        if self.degrade != 1.0:
+            base = base * self.degrade
         return base
 
-    def latency_table(self, device: str) -> list[float] | None:
-        """``[latency(device, k) for k = 1..len]``; ``None`` while
-        ``device`` is throttled or has no dense table."""
-        if device in self._throttle:
-            return None
-        return self._table(device)
+    def latency(self, label: str, batch_size: int) -> float:
+        table = self._table(label) if self.plain else self.latency_table(label)
+        if table is not None and 1 <= batch_size <= len(table):
+            return table[batch_size - 1]
+        key = (label, batch_size)
+        base = self._memo.get(key)
+        if base is None:
+            base = self._memo[key] = float(self.underlying.latency(
+                self.device_name(label), batch_size))
+        return base if self.plain else self._rescale(label, base)
 
-    def device_name(self, device: str) -> str:
-        return device
+    def latency_table(self, label: str) -> list[float] | None:
+        """``[latency(label, k) for k = 1..len]``, or ``None`` when
+        ``label`` has no dense table."""
+        if self.plain:
+            return self._table(label)
+        if label not in self._scaled:
+            table = self._table(label)
+            self._scaled[label] = (None if table is None else
+                                   self._rescale(label, np.array(table)).tolist())
+        return self._scaled[label]
+
+    def device_name(self, label: str) -> str:
+        return self._devices.get(label, label)
 
 
 def _policy_max_batch(policy, probe_cap: int) -> int:
@@ -419,26 +458,71 @@ def _policy_max_batch(policy, probe_cap: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True)
+class _InFlight:
+    """A batch on one replica, tracked so a fault can abort or stretch it.
+
+    Members are the tenant's retried requests ``retried`` plus the
+    contiguous queue slice ``[start, end)``. With ``tenant`` ``None`` the
+    record is a stall blocking an idle replica until ``finish``.
+    """
+
+    finish: float
+    tenant: int | None = None
+    retried: Sequence[int] = ()
+    start: int = 0
+    end: int = 0
+    dispatch: float = 0.0
+    arrivals: float = 0.0  # sum of the members' arrival times
+    formation: float = 0.0  # sum of the members' formation waits
+
+    @property
+    def size(self) -> int:
+        return len(self.retried) + self.end - self.start
+
+    def members(self) -> list[int]:
+        return [*self.retried, *range(self.start, self.end)]
+
+
 class _FleetEngine:
-    """Vectorized event loop over device groups.
+    """Vectorized event loop over labelled device groups.
 
     One *epoch* = advance the clock to the next relevant instant, absorb
-    everything due (fault edges, arrivals in bulk, autoscale ticks),
-    then offer queued work to idle groups until every policy holds.
-    Request timing is written straight into preallocated output columns;
-    no per-request Python objects exist anywhere.
+    everything due (completions, arrivals in bulk, autoscale ticks), then
+    offer queued work to idle groups until every policy holds. Fault
+    edges and retry wake-ups due at an instant are applied one at a time,
+    each followed by its own offer, so same-instant faults see the state
+    a per-event loop would. Request timing is written straight into
+    preallocated per-tenant columns; no per-request Python objects exist
+    anywhere.
+
+    Faults (``DeviceDown``/``TransientStall`` edges) switch on batch
+    tracking: a down group aborts its in-flight batches, whose requests
+    retry under ``retry`` or are shed; a stall stretches in-flight batches
+    and blocks idle replicas. Sparse per-request fault state (retry
+    counts, abort times) lives in dicts keyed by ``(tenant, local index)``.
+
+    ``record=True`` keeps every request's dispatch, finish, group, batch
+    size and formation wait (what :class:`~repro.serving.simulator.Request`
+    objects carry); without it only latencies are kept.
     """
 
     def __init__(self, tenants: Sequence[TenantSpec],
                  groups: Sequence[DeviceGroup], columns,
                  autoscale: AutoscalePolicy | None,
                  faults: FaultPlan | None,
-                 hop_bytes: float, probe_cap: int):
+                 hop_bytes: float, probe_cap: int,
+                 labels: Sequence[str] | None = None, router=None,
+                 retry: RetryPolicy | None = None, slowdown: float = 1.0,
+                 index: np.ndarray | None = None, record: bool = False):
         self.tenants = list(tenants)
         self.groups = list(groups)
         self.autoscale = autoscale
         self.hop_bytes = float(hop_bytes)
         self.probe_cap = int(probe_cap)
+        self.router = router  # None: cached earliest-finish ranking
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.deadline = self.retry.deadline
 
         n = len(columns)
         self.n = n
@@ -448,17 +532,19 @@ class _FleetEngine:
         # Per-tenant views of the stream. A single stable argsort groups
         # the request indices by tenant while preserving arrival order
         # within each tenant (one O(n log n) pass instead of one mask
-        # scan per tenant). The only per-request output the report needs
-        # elementwise is the latency (percentiles, SLO attainment), so
-        # that is the only per-request buffer kept — a batch is always a
-        # slice of one tenant's queue, making the hot-loop write a
-        # cache-friendly contiguous fill. Queue/formation/service waits
-        # only ever surface as means, so they fold into scalar
-        # accumulators while the batch slice is still cache-hot.
+        # scan per tenant). The only per-request output the fleet report
+        # needs elementwise is the latency (percentiles, SLO attainment),
+        # so that is the only per-request buffer kept unless ``record``
+        # asks for more — a batch is mostly a slice of one tenant's
+        # queue, making the hot-loop write a cache-friendly contiguous
+        # fill. Queue/formation/service waits only ever surface as means,
+        # so they fold into scalar accumulators while the batch slice is
+        # still cache-hot.
         K = len(self.tenants)
         order = np.argsort(self.codes, kind="stable")
         bounds = np.zeros(K + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.codes, minlength=K), out=bounds[1:])
+        self.bounds = bounds
         self.arr_t = [np.ascontiguousarray(
             self.arr_all[order[bounds[t]:bounds[t + 1]]]) for t in range(K)]
         self.lat_t = [np.empty(a.size, dtype=np.float64) for a in self.arr_t]
@@ -466,6 +552,12 @@ class _FleetEngine:
         self.disp_sum = [0.0] * K  # sum of dispatch instants (x batch size)
         self.form_sum = 0.0        # global formation-wait sum
         self.serv_sum = 0.0        # global service-time sum
+        # A tenant's queue is ``tail[t] - head[t]`` long. Retried
+        # requests (local indices, arrival-sorted in ``requeued[t]``)
+        # wait ahead of the contiguous slice — a retried request never
+        # arrived after anything still in its tenant's slice — and
+        # ``head[t]`` counts them as if they sat just before it: the
+        # slice itself starts at ``head[t] + len(requeued[t])``.
         self.head = [0] * K
         self.tail = [0] * K
         # Arrival of each tenant's queue head (inf once exhausted), kept
@@ -473,19 +565,29 @@ class _FleetEngine:
         self.head_arr = [float(a[0]) if a.size else math.inf
                          for a in self.arr_t]
         self.last_group: list[int | None] = [None] * K
+        self.requeued: list[list[int]] = [[] for _ in range(K)]
 
-        self.throttle: dict[str, float] = {}
+        G = len(self.groups)
+        self.gdev = [g.device for g in self.groups]
+        self.labels = (list(labels) if labels is not None else list(self.gdev))
+        devices = dict(zip(self.labels, self.gdev))
+        self._gindex = {label: i for i, label in enumerate(self.labels)}
+
+        self.throttle: dict[str, float] = {}  # label -> product of active factors
+        self._throttles: dict[str, list[float]] = {}
         self.policies = [spec.policy for spec in self.tenants]
         self.tcost = [
             _GroupCost(spec.cost, self.throttle,
-                       _policy_max_batch(spec.policy, probe_cap))
+                       _policy_max_batch(spec.policy, probe_cap), devices,
+                       slowdown)
             for spec in self.tenants
         ]
+        self.modes = [spec.degraded for spec in self.tenants]
+        self.any_mode = any(m is not None for m in self.modes)
+        self.degraded = [False] * K
 
         # Per-group replica state: free-time vectors over the full
         # provisioned pool; ``act`` bounds the autoscaler-active prefix.
-        G = len(self.groups)
-        self.gdev = [g.device for g in self.groups]
         self.free = [np.zeros(g.capacity, dtype=np.float64) for g in self.groups]
         self.act = [g.replicas for g in self.groups]
         self.down = [False] * G
@@ -500,19 +602,64 @@ class _FleetEngine:
         self.last_action = [-np.inf] * G
         self.scaling: list[ScalingEvent] = []
 
-        self.edges: list[tuple] = []
+        self.plan = faults
+        self.happenings: list[tuple] = []
         if faults is not None and not faults.empty:
-            resolved = faults.resolve(self.gdev, {d: d for d in self.gdev})
-            for when, _seq, kind, grp, arg in resolved:
-                if kind == "stall":
-                    raise FleetConfigError(
-                        f"fault plan stalls {grp!r}: transient stalls are "
-                        "slot-level events with no group meaning; use the "
-                        "classic simulator for stall studies")
-                self.edges.append((when, kind, grp, arg))
+            self.happenings = faults.resolve(self.labels, devices)
+        self.edges = [(when, kind, label, arg)
+                      for when, _seq, kind, label, arg in self.happenings]
         self.edge_ptr = 0
+        self.next_edge_t = self.edges[0][0] if self.edges else math.inf
+        # Only downs and stalls touch in-flight batches; without them a
+        # dispatch finalizes its requests' timing.
+        self.track = any(kind in ("down", "stall") for _, kind, _, _ in self.edges)
+        self.cur: list[list[_InFlight | None]] | None = (
+            [[None] * g.capacity for g in self.groups] if self.track else None)
+        # Global positions of the tenant-local requests, for retry jitter
+        # and recorded output; ``index`` maps positions to request ids.
+        self.order = order if (self.track or record) else None
+        self.index = index
 
+        self.record = record
+        self.deg_t = ([np.zeros(a.size, dtype=bool) for a in self.arr_t]
+                      if record or self.any_mode else None)
+        self.noting = self.deg_t is not None or self.router is not None
+        if record:
+            self.disp_t = [np.empty(a.size) for a in self.arr_t]
+            self.fin_t = [np.empty(a.size) for a in self.arr_t]
+            self.form_t = [np.empty(a.size) for a in self.arr_t]
+            self.grp_t = [np.zeros(a.size, dtype=np.int32) for a in self.arr_t]
+            self.bs_t = [np.zeros(a.size, dtype=np.int32) for a in self.arr_t]
+            self.hist: list[dict[int, int]] = [{} for _ in self.groups]
+
+        # Conservation counters: issued == completed + shed + queued +
+        # on_device + awaiting retry, checked every epoch of a run given
+        # a fault plan or retry policy. Without tracking, ``completed``
+        # counts at dispatch.
+        self.checked = faults is not None or retry is not None
         self.completed = 0
+        self.shed = 0
+        self.queued = 0
+        self.on_device = 0
+        self.retry_heap: list[tuple[float, int, int, int]] = []
+        self._retry_seq = 0
+
+        # Fault accounting (see fault_stats).
+        self.retries: dict[tuple[int, int], int] = {}
+        self.abort_time: dict[tuple[int, int], float] = {}
+        self.recovery: list[float] = []
+        self.retry_total = 0
+        self.down_since: dict[str, float] = {}
+        self.down_windows: dict[str, list[tuple[float, float]]] = {}
+        self.stall_time: dict[str, float] = {}
+        self.aborted_batches: dict[str, int] = {}
+        self.aborted_requests: dict[str, int] = {}
+        self.tenant_shed = [0] * K
+        self.degraded_requests = [0] * K
+        self.degraded_since: dict[int, float] = {}
+        self.degraded_time = [0.0] * K
+        self.activations = [0] * K
+
         self.makespan = 0.0
         self.next_arr = 0
         self.next_arr_t = float(self.arr_all[0]) if n else math.inf
@@ -529,14 +676,15 @@ class _FleetEngine:
         # active prefix, popped at dispatch (lowest index first, the
         # replica ``argmax(free[:act] <= now)`` would pick) and fed as
         # entries drain off the busy heap. Scaling events rebuild the
-        # idle heaps from the vectors (rare; ticks only).
+        # idle heaps from the vectors (rare; ticks only). With tracking,
+        # a heap entry is live only while it matches its replica's
+        # tracked finish; aborted or stretched batches leave stale ones.
         self.busy_heap: list[tuple[float, int, int]] = []
         self.idle_heap = [list(range(g.replicas)) for g in self.groups]
 
-        self._gindex = {d: i for i, d in enumerate(self.gdev)}
         self._device_specs: dict[str, object] = {}  # lazy, hop pricing only
-        # (tenant, probe) -> every group in router order; valid while no
-        # throttle scales a curve (latencies are otherwise fixed).
+        # (tenant, probe) -> every group in router order; emptied whenever
+        # a throttle edge or degraded-mode switch rescales curves.
         self._rank: dict[tuple[int, int], list[int]] = {}
 
     @property
@@ -556,12 +704,14 @@ class _FleetEngine:
         candidates = [self._next_tick()]
         if self.pending_wakeup is not None:
             candidates.append(self.pending_wakeup)
-        if self.edge_ptr < len(self.edges):
-            candidates.append(self.edges[self.edge_ptr][0])
+        if self.next_edge_t < math.inf:
+            candidates.append(self.next_edge_t)
         if self.busy_heap:
-            # Entries at or before ``now`` were drained in _advance, so
+            # Entries at or before ``now`` were drained in _absorb, so
             # the heap top is the next batch completion across the fleet.
             candidates.append(self.busy_heap[0][0])
+        if self.retry_heap:
+            candidates.append(self.retry_heap[0][0])
         down = self.down
         if any(h and not down[g] for g, h in enumerate(self.idle_heap)):
             # Some active replica is idle right now; between here and the
@@ -570,35 +720,31 @@ class _FleetEngine:
             candidates.append(self.next_arr_t)
         return min((c for c in candidates if c > now), default=math.inf)
 
-    def _advance(self, now: float) -> None:
-        """Absorb everything due at ``now``: completions, fault edges,
-        arrivals, ticks."""
-        heap = self.busy_heap
+    def _absorb(self, now: float) -> None:
+        """Absorb everything due at ``now``: completions, arrivals, ticks;
+        shed expired requests and check conservation."""
+        heap, cur = self.busy_heap, self.cur
         while heap and heap[0][0] <= now:
-            _finish, g, ridx = heapq.heappop(heap)
+            finish, g, ridx = heapq.heappop(heap)
+            if cur is not None:
+                rec = cur[g][ridx]
+                if rec is None or rec.finish != finish:
+                    continue  # an aborted or stretched batch's old entry
+                cur[g][ridx] = None
+                if rec.tenant is not None:
+                    self._complete(rec)
             if ridx < self.act[g]:
                 heapq.heappush(self.idle_heap[g], ridx)
             # else: the replica drained outside the autoscaler-active
             # prefix; its free time stays on the vector and is picked
             # back up by the rebuild if the group scales out again.
-        while self.edge_ptr < len(self.edges) and self.edges[self.edge_ptr][0] <= now:
-            _when, kind, grp, arg = self.edges[self.edge_ptr]
-            self.edge_ptr += 1
-            g = self._gindex[grp]
-            if kind == "down":
-                self.down[g] = True
-            elif kind == "recover":
-                self.down[g] = False
-            elif kind == "throttle-on":
-                self.throttle[grp] = arg
-            elif kind == "throttle-off":
-                self.throttle.pop(grp, None)
         if self.next_arr_t <= now:
             old = self.next_arr
             new_total = int(np.searchsorted(self.arr_all, now, side="right"))
             self.next_arr = new_total
             self.next_arr_t = (float(self.arr_all[new_total])
                                if new_total < self.n else math.inf)
+            self.queued += new_total - old
             tail = self.tail
             if new_total - old <= _SMALL_SLICE:
                 for t in self.codes[old:new_total].tolist():
@@ -620,16 +766,227 @@ class _FleetEngine:
                 # already drained off the busy heap). A sorted list is a
                 # valid heap.
                 for g in range(len(self.groups)):
-                    self.idle_heap[g] = np.flatnonzero(
+                    idle = np.flatnonzero(
                         self.free[g][:self.act[g]] <= now).tolist()
+                    if self.cur is not None:  # stalls block idle replicas
+                        idle = [r for r in idle if self.cur[g][r] is None]
+                    self.idle_heap[g] = idle
         if self.pending_wakeup is not None and now >= self.pending_wakeup:
             self.pending_wakeup = None
+        if self.deadline is not None:
+            self._shed_expired(now)
+        if self.checked and self.next_arr != (
+                self.completed + self.shed + self.queued + self.on_device
+                + len(self.retry_heap)):
+            raise RuntimeError(
+                f"request conservation violated at t={now:g}: "
+                f"issued={self.next_arr} but completed={self.completed} + "
+                f"shed={self.shed} + queued={self.queued} + "
+                f"on_device={self.on_device} + "
+                f"awaiting_retry={len(self.retry_heap)}")
+
+    # -- faults ------------------------------------------------------------------
+
+    def _apply(self, kind: str, label: str, arg, now: float) -> None:
+        """Apply one resolved fault edge to group ``label``."""
+        g = self._gindex[label]
+        if kind == "down":
+            self.down[g] = True
+            if self.router is not None:
+                self.router.note_down(label)
+            self.down_since[label] = now
+            for ridx, rec in enumerate(self.cur[g]):
+                if rec is not None and rec.tenant is not None:
+                    self._abort(g, ridx, rec, now)
+        elif kind == "recover":
+            self.down[g] = False
+            if self.router is not None:
+                self.router.note_recover(label)
+            start = self.down_since.pop(label, now)
+            self.down_windows.setdefault(label, []).append((start, now))
+            np.maximum(self.free[g], now, out=self.free[g])
+        elif kind in ("throttle-on", "throttle-off"):
+            active = self._throttles.setdefault(label, [])
+            if kind == "throttle-on":
+                active.append(arg)
+            elif arg in active:
+                active.remove(arg)
+            if active:
+                self.throttle[label] = float(np.prod(active))
+            else:
+                self.throttle.pop(label, None)
+            for cost in self.tcost:
+                cost.refresh()
+            self._rank.clear()
+        elif not self.down[g]:  # a stall; a dead group cannot stall further
+            self.stall_time[label] = self.stall_time.get(label, 0.0) + arg
+            until = now + arg
+            for ridx, rec in enumerate(self.cur[g]):
+                if rec is None:
+                    idle = self.idle_heap[g]
+                    if ridx not in idle:
+                        continue  # outside the active prefix
+                    idle.remove(ridx)
+                    heapq.heapify(idle)
+                    self.cur[g][ridx] = _InFlight(until)
+                elif rec.tenant is None:  # already blocked
+                    rec.finish = max(rec.finish, until)
+                else:
+                    self._stretch(g, ridx, rec, rec.finish + arg)
+                    continue
+                heapq.heappush(self.busy_heap, (until, g, ridx))
+
+    def _abort(self, g: int, ridx: int, rec: _InFlight, now: float) -> None:
+        """A failing group aborts ``rec``: its requests retry or are shed."""
+        label, t, size = self.labels[g], rec.tenant, rec.size
+        self.cur[g][ridx] = None
+        self.free[g][ridx] = now
+        if ridx < self.act[g]:
+            heapq.heappush(self.idle_heap[g], ridx)
+        self.busy[g] -= rec.finish - now  # only the executed part counts
+        self.batches[g] -= 1
+        self.requests[g] -= size
+        if self.record:
+            left = self.hist[g][size] - 1
+            if left:
+                self.hist[g][size] = left
+            else:
+                del self.hist[g][size]
+        self.aborted_batches[label] = self.aborted_batches.get(label, 0) + 1
+        self.aborted_requests[label] = self.aborted_requests.get(label, 0) + size
+        self.on_device -= size
+        self.arr_sum[t] -= rec.arrivals
+        self.disp_sum[t] -= rec.dispatch * size
+        self.serv_sum -= (rec.finish - rec.dispatch) * size
+        self.form_sum -= rec.formation
+        retry, arr_t = self.retry, self.arr_t[t]
+        for i in rec.members():
+            key = (t, i)
+            attempt = self.retries[key] = self.retries.get(key, 0) + 1
+            if attempt > retry.max_retries or (
+                    self.deadline is not None
+                    and now - float(arr_t[i]) >= self.deadline):
+                self._shed(t, i)
+                continue
+            self.retry_total += 1
+            self.abort_time[key] = now
+            pos = int(self.order[self.bounds[t] + i])
+            rid = pos if self.index is None else int(self.index[pos])
+            heapq.heappush(self.retry_heap, (now + retry.backoff(rid, attempt),
+                                             self._retry_seq, t, i))
+            self._retry_seq += 1
+
+    def _stretch(self, g: int, ridx: int, rec: _InFlight, finish: float) -> None:
+        """A stall delays ``rec`` to ``finish``."""
+        t = rec.tenant
+        self.serv_sum += (finish - rec.finish) * rec.size
+        rec.finish = finish
+        self.free[g][ridx] = finish
+        heapq.heappush(self.busy_heap, (finish, g, ridx))
+        arr_t, lat = self.arr_t[t], self.lat_t[t]
+        np.subtract(finish, arr_t[rec.start:rec.end], out=lat[rec.start:rec.end])
+        for i in rec.retried:
+            lat[i] = finish - arr_t[i]
+        if self.record:
+            self.fin_t[t][rec.members()] = finish
+        if finish > self.makespan:
+            self.makespan = finish
+
+    def _complete(self, rec: _InFlight) -> None:
+        size = rec.size
+        self.on_device -= size
+        self.completed += size
+        for i in rec.retried:
+            aborted = self.abort_time.pop((rec.tenant, i), None)
+            if aborted is not None:
+                self.recovery.append(rec.finish - aborted)
+
+    def _shed(self, t: int, i: int) -> None:
+        self.shed += 1
+        self.tenant_shed[t] += 1
+        self.abort_time.pop((t, i), None)
+        self.lat_t[t][i] = math.nan
+
+    def _reset_head(self, t: int) -> None:
+        queue, arr_t = self.requeued[t], self.arr_t[t]
+        start = self.head[t] + len(queue)
+        self.head_arr[t] = (float(arr_t[queue[0]]) if queue
+                            else float(arr_t[start]) if start < arr_t.size
+                            else math.inf)
+
+    def _requeue(self, t: int, i: int, now: float) -> None:
+        """A retry backoff expired: queue the request again (or shed it).
+
+        The request goes in arrival order among the tenant's retried
+        requests, which all wait ahead of the slice (on an arrival tie
+        with a slice request, it goes first).
+        """
+        arr_t = self.arr_t[t]
+        arrival = float(arr_t[i])
+        if self.deadline is not None and now - arrival >= self.deadline:
+            self._shed(t, i)
+            return
+        queue = self.requeued[t]
+        if arrival <= self.head_arr[t]:
+            queue.insert(0, i)
+        else:
+            bisect.insort(queue, i, key=arr_t.__getitem__)
+        self.head[t] -= 1
+        self.queued += 1
+        self._reset_head(t)
+
+    def _shed_expired(self, now: float) -> None:
+        """Shed queue heads past the deadline (queues are arrival-sorted)."""
+        deadline = self.deadline
+        for t, queue in enumerate(self.requeued):
+            if now - self.head_arr[t] < deadline:
+                continue
+            arr_t = self.arr_t[t]
+            while queue and now - float(arr_t[queue[0]]) >= deadline:
+                self._shed(t, queue.pop(0))
+                self.head[t] += 1
+                self.queued -= 1
+            if not queue:
+                lo = head = self.head[t]
+                hi = self.tail[t]
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if now - float(arr_t[mid]) >= deadline:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                if lo > head:
+                    self.lat_t[t][head:lo] = math.nan
+                    self.shed += lo - head
+                    self.tenant_shed[t] += lo - head
+                    self.queued -= lo - head
+                    self.head[t] = lo
+            self._reset_head(t)
+
+    def _update_degraded(self, t: int, now: float) -> None:
+        """Enter/exit degraded mode on queue-pressure hysteresis."""
+        mode = self.modes[t]
+        wait = now - self.head_arr[t]
+        if not self.degraded[t]:
+            if wait >= mode.enter_wait:
+                self.degraded[t] = True
+                self.tcost[t].degrade = mode.latency_factor
+                self.tcost[t].refresh()
+                self._rank.clear()
+                self.degraded_since[t] = now
+                self.activations[t] += 1
+        elif wait <= mode.exit_wait:
+            self.degraded[t] = False
+            self.tcost[t].degrade = 1.0
+            self.tcost[t].refresh()
+            self._rank.clear()
+            self.degraded_time[t] += now - self.degraded_since.pop(t, now)
 
     # -- autoscaling -------------------------------------------------------------
 
     def _tick(self, when: float) -> None:
         scale = self.autoscale
-        queued = self.next_arr - self.completed
+        queued = self.queued
         if scale.metric == "queue":
             value = float(queued)
         else:  # p99 of batch latencies dispatched since the last tick
@@ -663,28 +1020,24 @@ class _FleetEngine:
             self.peak[g] = max(self.peak[g], after)
             self.last_action[g] = when
             self.scaling.append(
-                ScalingEvent(when, self.gdev[g], act, after, reason))
+                ScalingEvent(when, self.labels[g], act, after, reason))
 
     # -- the offer loop ----------------------------------------------------------
 
     def _ranked(self, t: int, probe: int, idle: list[int]) -> list[int]:
-        """``idle`` in router order for tenant ``t`` at batch ``probe``.
+        """``idle`` in earliest-finish order for tenant ``t`` at ``probe``.
 
         Filtering the cached order over all groups equals sorting
-        ``idle``: the key is a total order (device names are unique).
-        Throttles rescale curves, so while one is on, sort afresh.
+        ``idle``: the key is a total order (group labels are unique).
+        Throttle edges and degraded-mode switches rescale curves, so they
+        empty the cache.
         """
-        cost = self.tcost[t]
-        gdev = self.gdev
-
-        def key(g: int) -> tuple[float, str]:
-            return cost.latency(gdev[g], probe) / probe, gdev[g]
-
-        if self.throttle:
-            return sorted(idle, key=key)
         order = self._rank.get((t, probe))
         if order is None:
-            order = self._rank[(t, probe)] = sorted(range(len(gdev)), key=key)
+            cost, labels = self.tcost[t], self.labels
+            order = self._rank[(t, probe)] = sorted(
+                range(len(labels)),
+                key=lambda g: (cost.latency(labels[g], probe) / probe, labels[g]))
         if len(idle) == len(order):
             return order
         return [g for g in order if g in idle]
@@ -692,13 +1045,14 @@ class _FleetEngine:
     def _offer(self, now: float) -> None:
         """Offer queued work to idle groups until every policy holds.
 
-        Mirrors the classic loop: tenants in oldest-head-first order
-        (stable on ties, i.e. spec order), groups in router order
-        (amortized per-request latency at the probe batch, device-name
-        tie-break); the first (tenant, group) pair whose policy
-        dispatches restarts the scan.
+        Tenants go in oldest-head-first order (stable on ties, i.e. spec
+        order), groups in router order — earliest-finish ranks by
+        amortized per-request latency at the probe batch with a label
+        tie-break; the first (tenant, group) pair whose policy dispatches
+        restarts the scan.
         """
         head, tail, down = self.head, self.tail, self.down
+        labels, router, any_mode = self.labels, self.router, self.any_mode
         while True:
             active = [t for t, h in enumerate(head) if h < tail[t]]
             if not active:
@@ -711,17 +1065,22 @@ class _FleetEngine:
                 active.sort(key=self.head_arr.__getitem__)
             chosen_t = chosen_g = size = None
             for t in active:
+                if any_mode and self.modes[t] is not None:
+                    self._update_degraded(t, now)
                 qlen = tail[t] - head[t]
                 cost = self.tcost[t]
                 if len(idle) == 1:
                     ranked = idle
-                else:
+                elif router is None:
                     ranked = self._ranked(
                         t, max(1, min(qlen, self.probe_cap)), idle)
+                else:
+                    ranked = [self._gindex[label] for label in router.rank(
+                        [labels[g] for g in idle], qlen, cost)]
                 oldest_wait = now - self.head_arr[t]
                 for g in ranked:
                     size = self.policies[t].decide(
-                        now, qlen, oldest_wait, self.gdev[g], cost)
+                        now, qlen, oldest_wait, labels[g], cost)
                     if size is not None:
                         chosen_t, chosen_g = t, g
                         break
@@ -740,17 +1099,16 @@ class _FleetEngine:
                                  or wake < self.pending_wakeup):
             self.pending_wakeup = wake
         if (self.pending_wakeup is None and self.next_arr >= self.n
-                and self.edge_ptr >= len(self.edges)
-                and not self.busy_heap):
+                and self.next_edge_t == math.inf
+                and not self.busy_heap and not self.retry_heap):
             names = ",".join(self.policies[t].name for t in active)
             raise RuntimeError(f"policy {names!r} held with no pending events")
 
     def _dispatch(self, t: int, g: int, size: int, now: float) -> None:
         head = self.head[t]
-        qlen = self.tail[t] - head
-        size = max(1, min(int(size), qlen))
-        device = self.gdev[g]
-        duration = self.tcost[t].latency(device, size)
+        size = max(1, min(int(size), self.tail[t] - head))
+        label = self.labels[g]
+        duration = self.tcost[t].latency(label, size)
         if duration <= 0:
             raise ValueError("batch_time must return a positive duration")
         fa = self.free[g]
@@ -759,11 +1117,11 @@ class _FleetEngine:
         finish = now + duration
         busy = duration
         if self.hop_bytes > 0.0 and self.last_group[t] not in (None, g):
-            spec = self._device_specs.get(device)
+            spec = self._device_specs.get(label)
             if spec is None:
                 from repro.hw.device import get_device
 
-                spec = self._device_specs[device] = get_device(device)
+                spec = self._device_specs[label] = get_device(self.gdev[g])
             hop = h2d_time(self.hop_bytes * size, spec)
             finish += hop
             busy += hop
@@ -771,52 +1129,111 @@ class _FleetEngine:
             self.hop_time[g] += hop
         self.last_group[t] = g
 
-        end = head + size
+        start, retried, queue = head, (), self.requeued[t]
+        if queue:  # retried requests head the queue and ride first
+            start += len(queue)
+            retried = queue[:size]
+            del queue[:len(retried)]
+        end = start + size - len(retried)
         arr_t = self.arr_t[t]
-        batch_arr = arr_t[head:end]
-        lat = self.lat_t[t][head:end]
+        batch_arr = arr_t[start:end]
+        lat = self.lat_t[t][start:end]
         np.subtract(finish, batch_arr, out=lat)
         # Queued requests arrived at or before ``now`` and the chosen
-        # replica freed at or before ``now``, so the classic
+        # replica freed at or before ``now``, so the
         # ``max(0, now - max(arrival, idle_since))`` formation wait
         # reduces to a min of two non-negative terms; it (and the queue
         # and service waits) only ever surface as means, so they fold
         # into scalar accumulators here rather than per-request buffers.
         asum = float(batch_arr.sum())
+        form = float(np.minimum(now - batch_arr, now - idle_since).sum())
+        if retried:
+            for i in retried:
+                arrival = float(arr_t[i])
+                self.lat_t[t][i] = finish - arrival
+                asum += arrival
+                form += min(now - arrival, now - idle_since)
         self.arr_sum[t] += asum
         self.disp_sum[t] += now * size
         self.serv_sum += (finish - now) * size
-        self.form_sum += float(
-            np.minimum(now - batch_arr, now - idle_since).sum())
-        self.head[t] = end
-        self.head_arr[t] = float(arr_t[end]) if end < arr_t.size else math.inf
+        self.form_sum += form
+        self.head[t] = head + size
+        if queue:
+            self._reset_head(t)
+        else:
+            self.head_arr[t] = (float(arr_t[end]) if end < arr_t.size
+                                else math.inf)
         fa[ridx] = finish
         heapq.heappush(self.busy_heap, (finish, g, ridx))
         self.batches[g] += 1
         self.requests[g] += size
         self.busy[g] += busy
-        self.completed += size
+        self.queued -= size
+        if self.cur is None:
+            self.completed += size
+        else:
+            self.cur[g][ridx] = _InFlight(finish, t, retried, start, end, now,
+                                          asum, form)
+            self.on_device += size
+        if self.noting:
+            self._note(t, g, size, now, finish, idle_since, start, end, retried)
         if finish > self.makespan:
             self.makespan = finish
         if self.autoscale is not None and self.autoscale.metric == "p99":
             self.p99_window.append(lat)
+
+    def _note(self, t, g, size, now, finish, idle_since, start, end,
+              retried) -> None:
+        """Per-dispatch extras: degraded flags, recorded columns, router."""
+        members = ([*retried, *range(start, end)] if retried
+                   else slice(start, end))
+        if self.deg_t is not None:
+            self.deg_t[t][members] = self.degraded[t]
+            if self.degraded[t]:
+                self.degraded_requests[t] += size
+        if self.router is not None:
+            self.router.note_dispatch(self.labels[g])
+        if not self.record:
+            return
+        self.disp_t[t][members] = now
+        self.fin_t[t][members] = finish
+        self.grp_t[t][members] = g
+        self.bs_t[t][members] = size
+        arr = self.arr_t[t][members]
+        self.form_t[t][members] = np.minimum(now - arr, now - idle_since)
+        self.hist[g][size] = self.hist[g].get(size, 0) + 1
 
     # -- run ---------------------------------------------------------------------
 
     def run(self) -> float:
         if self.n == 0:
             return 0.0
-        first = [float(self.arr_all[0])]
-        if self.edges:
-            first.append(self.edges[0][0])
-        tick = self._next_tick()
-        if tick < math.inf:
-            first.append(tick)
-        now = min(first)
-        while self.completed < self.n:
-            self._advance(now)
+        first = float(self.arr_all[0])
+        now = min(first, self.next_edge_t, self._next_tick())
+        if now == first:
+            # The first arrival precedes fault edges due at the same instant.
+            self._absorb(now)
             self._offer(now)
-            if self.completed >= self.n:
+        edges, retries = self.edges, self.retry_heap
+        while True:
+            # One epoch: fault edges, then retry wake-ups, then everything
+            # else due — each edge and retry with an offer of its own.
+            while self.next_edge_t <= now:
+                _when, kind, label, arg = edges[self.edge_ptr]
+                self.edge_ptr += 1
+                self.next_edge_t = (edges[self.edge_ptr][0]
+                                    if self.edge_ptr < len(edges) else math.inf)
+                self._apply(kind, label, arg, now)
+                self._absorb(now)
+                self._offer(now)
+            while retries and retries[0][0] <= now:
+                _when, _seq, t, i = heapq.heappop(retries)
+                self._requeue(t, i, now)
+                self._absorb(now)
+                self._offer(now)
+            self._absorb(now)
+            self._offer(now)
+            if self.completed + self.shed >= self.n:
                 break
             nxt = self._next_time(now)
             if nxt == math.inf:
@@ -828,13 +1245,96 @@ class _FleetEngine:
             self.occ_last[g] = self.makespan
         return self.makespan
 
+    # -- fault report ------------------------------------------------------------
+
+    def fault_stats(self) -> FaultStats:
+        """What the fault plan, retries and degraded modes did to the run."""
+        makespan = self.makespan
+        down_windows = {k: list(v) for k, v in self.down_windows.items()}
+        for label, since in self.down_since.items():
+            down_windows.setdefault(label, []).append((since, makespan))
+        degraded_time = list(self.degraded_time)
+        for t, since in self.degraded_since.items():
+            degraded_time[t] += makespan - since
+
+        throttle_windows: dict[str, list[tuple[float, float, float]]] = {}
+        for when, _, kind, label, arg in self.happenings:
+            if kind != "throttle-on":
+                continue
+            until = next((w for w, _, k, s, a in self.happenings
+                          if k == "throttle-off" and s == label and a == arg
+                          and w > when), makespan)
+            start, end = min(when, makespan), min(until, makespan)
+            if end > start:
+                throttle_windows.setdefault(label, []).append((start, end, arg))
+
+        devices: dict[str, DeviceFaultStats] = {}
+        for label in sorted(set(down_windows) | set(throttle_windows)
+                            | set(self.stall_time) | set(self.aborted_batches)):
+            windows = down_windows.get(label, [])
+            throttles = throttle_windows.get(label, [])
+            devices[label] = DeviceFaultStats(
+                slot=label,
+                device=self.gdev[self._gindex[label]],
+                downtime=sum(b - a for a, b in windows),
+                down_windows=windows,
+                throttle_time=sum(b - a for a, b, _ in throttles),
+                throttle_windows=throttles,
+                stall_time=self.stall_time.get(label, 0.0),
+                aborted_batches=self.aborted_batches.get(label, 0),
+                aborted_requests=self.aborted_requests.get(label, 0),
+            )
+
+        retry_histogram: dict[int, int] = {}
+        for attempts in self.retries.values():
+            retry_histogram[attempts] = retry_histogram.get(attempts, 0) + 1
+
+        tenants: dict[str, TenantFaultStats] = {}
+        for t in sorted(range(len(self.tenants)),
+                        key=lambda t: self.tenants[t].name):
+            spec, mode = self.tenants[t], self.modes[t]
+            attainment = None
+            if spec.slo is not None and self.deg_t is not None:
+                lat = self.lat_t[t][self.deg_t[t]]
+                lat = lat[~np.isnan(lat)]
+                if lat.size:
+                    attainment = float(np.mean(lat <= spec.slo))
+            tenants[spec.name] = TenantFaultStats(
+                tenant=spec.name,
+                shed=self.tenant_shed[t],
+                degraded_available=mode is not None,
+                degraded_requests=self.degraded_requests[t],
+                degraded_slo_attainment=attainment,
+                degraded_time=degraded_time[t],
+                degraded_activations=self.activations[t],
+                accuracy_cost=mode.accuracy_cost if mode is not None else None,
+            )
+
+        samples = np.array(self.recovery, dtype=np.float64)
+        p50, p99 = ((float(np.percentile(samples, 50)),
+                     float(np.percentile(samples, 99)))
+                    if samples.size else (0.0, 0.0))
+        return FaultStats(
+            plan_events=len(self.plan.events) if self.plan is not None else 0,
+            issued=self.completed + self.shed,
+            completed=self.completed,
+            shed=self.shed,
+            retries=self.retry_total,
+            retry_histogram=dict(sorted(retry_histogram.items())),
+            recovery_p50=p50,
+            recovery_p99=p99,
+            devices=devices,
+            tenants=tenants,
+        )
+
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
 
-def _group_stats(engine: _FleetEngine, makespan: float) -> dict[str, GroupStats]:
+def _group_stats(engine: _FleetEngine) -> dict[str, GroupStats]:
+    makespan = engine.makespan
     out: dict[str, GroupStats] = {}
     for g, group in enumerate(engine.groups):
         mean_rep = (engine.occ_int[g] / makespan if makespan > 0
@@ -857,10 +1357,55 @@ def _group_stats(engine: _FleetEngine, makespan: float) -> dict[str, GroupStats]
     return out
 
 
-def _tenant_stats(engine: _FleetEngine, makespan: float) -> dict[str, TenantStats]:
+def _completed_latencies(engine: _FleetEngine, t: int) -> np.ndarray:
+    lat = engine.lat_t[t]
+    return lat[~np.isnan(lat)] if engine.tenant_shed[t] else lat
+
+
+def _summary(engine: _FleetEngine) -> tuple[dict, np.ndarray]:
+    """The report fields every front end shares, and the latencies.
+
+    Statistics cover completed requests. They are order-invariant
+    (percentiles, means, threshold counts), so they come straight off
+    the engine's per-tenant latency buffers (grouped by tenant,
+    arrival-ordered within each) and the scalar wait accumulators folded
+    in at dispatch time.
+    """
+    makespan = engine.makespan
+    done = engine.n - engine.shed
+    if done:
+        latencies = np.concatenate([_completed_latencies(engine, t)
+                                    for t in range(len(engine.tenants))])
+        p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
+        mean_latency = float(latencies.mean())
+        mean_queue = (sum(engine.disp_sum) - sum(engine.arr_sum)) / done
+        mean_formation = engine.form_sum / done
+        mean_service = engine.serv_sum / done
+    else:
+        latencies = np.empty(0)
+        p50 = p95 = p99 = 0.0
+        mean_latency = mean_queue = mean_formation = mean_service = 0.0
+    return {
+        "n_requests": engine.n,
+        "makespan": makespan,
+        "throughput": done / makespan if makespan > 0 else 0.0,
+        "mean_latency": mean_latency,
+        "p50_latency": float(p50),
+        "p95_latency": float(p95),
+        "p99_latency": float(p99),
+        "mean_queue_time": mean_queue,
+        "mean_formation_wait": mean_formation,
+        "mean_service_time": mean_service,
+    }, latencies
+
+
+def _tenant_stats(engine: _FleetEngine) -> dict[str, TenantStats]:
+    from repro.serving.simulator import TenantStats
+
+    makespan = engine.makespan
     out: dict[str, TenantStats] = {}
     for i, spec in enumerate(engine.tenants):
-        lat = engine.lat_t[i]
+        lat = _completed_latencies(engine, i)
         n = int(lat.size)
         if n:
             p50, p95, p99 = np.percentile(lat, [50, 95, 99])
@@ -915,7 +1460,12 @@ def simulate_fleet(
         its tenant axis must match ``tenants`` exactly.
     ``autoscale``
         Reactive :class:`AutoscalePolicy`; ``None`` keeps every group at
-        its initial replica count (required for classic parity).
+        its initial replica count.
+    ``faults``
+        A :class:`~repro.serving.faults.FaultPlan` over group names, with
+        the same semantics as :func:`~repro.serving.simulator.simulate_mixed`:
+        a down group aborts its in-flight batches, whose requests retry
+        under the default :class:`~repro.serving.faults.RetryPolicy`.
     ``hop_bytes``
         Per-request payload priced through
         :func:`repro.hw.transfer.h2d_time` whenever a tenant's batch
@@ -925,10 +1475,9 @@ def simulate_fleet(
         group-level analogue of
         :class:`~repro.serving.router.EarliestFinishRouter`'s cap.
 
-    With ``autoscale=None``, ``faults=None`` and ``hop_bytes=0`` the
-    result matches the classic simulator's (same devices, earliest-
-    finish router) to float round-off; a tier-1 differential test pins
-    this.
+    On replica-1 groups with no autoscaling and no hop costs the result
+    equals :func:`~repro.serving.simulator.simulate_mixed` on the same
+    devices: both run this engine.
     """
     if not tenants:
         raise ValueError("need at least one tenant")
@@ -974,45 +1523,18 @@ def simulate_fleet(
                 raise ValueError(
                     "request columns must be sorted by arrival time; "
                     "see sort_request_columns")
-    n = len(columns)
-
     engine = _FleetEngine(tenants, groups, columns, autoscale, faults,
                           hop_bytes, probe_cap)
-    makespan = engine.run()
-
-    if n:
-        # All summary statistics are order-invariant (percentiles, means,
-        # threshold counts), so they are computed straight off the
-        # engine's per-tenant contiguous latency buffers (grouped by
-        # tenant, arrival-ordered within each) and the scalar wait
-        # accumulators folded in at dispatch time.
-        latencies = np.concatenate(engine.lat_t)
-        p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
-        mean_latency = float(latencies.mean())
-        mean_queue = (sum(engine.disp_sum) - sum(engine.arr_sum)) / n
-        mean_formation = engine.form_sum / n
-        mean_service = engine.serv_sum / n
-    else:
-        latencies = np.empty(0)
-        p50 = p95 = p99 = 0.0
-        mean_latency = mean_queue = mean_formation = mean_service = 0.0
-
+    engine.run()
+    summary, latencies = _summary(engine)
     return FleetReport(
         policy=f"mixed({len(tenants)} tenants)",
         router="earliest-finish",
-        n_requests=n,
         arrival_rate=arrival_rate,
-        makespan=makespan,
-        throughput=n / makespan if makespan > 0 else 0.0,
-        mean_latency=mean_latency,
-        p50_latency=float(p50),
-        p95_latency=float(p95),
-        p99_latency=float(p99),
-        mean_queue_time=mean_queue,
-        mean_formation_wait=mean_formation,
-        mean_service_time=mean_service,
-        group_stats=_group_stats(engine, makespan),
-        tenant_stats=_tenant_stats(engine, makespan),
+        **summary,
+        group_stats=_group_stats(engine),
+        tenant_stats=_tenant_stats(engine),
         scaling_events=tuple(engine.scaling),
         latencies=latencies,
+        fault_stats=engine.fault_stats() if faults is not None else None,
     )

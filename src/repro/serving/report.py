@@ -82,8 +82,12 @@ def format_finetune_breakdown(report: ServingReport) -> str:
         rows, title="Background fine-tuning jobs (stream shares)")
 
 
-def format_fault_stats(report: ServingReport) -> str:
-    """Fault-injection breakdown: per-device windows, retries, degradation."""
+def format_fault_stats(report) -> str:
+    """Fault-injection breakdown: per-device windows, retries, degradation.
+
+    ``report`` is a :class:`ServingReport` or a
+    :class:`~repro.serving.fleet.FleetReport` (both carry ``fault_stats``).
+    """
     stats = report.fault_stats
     if stats is None:
         return "no fault plan was active"
@@ -178,8 +182,8 @@ def fleet_summary(report) -> str:
     """Full ``mmbench serve --fleet`` report: tenants, groups, scaling.
 
     ``report`` is a :class:`~repro.serving.fleet.FleetReport`; the
-    tenant table is shared with the classic mixed report (both expose
-    ``tenant_stats``).
+    tenant table and fault breakdown are shared with the mixed report
+    (both expose ``tenant_stats`` and ``fault_stats``).
     """
     rate = ("closed batch (all at t=0)" if report.arrival_rate is None
             else f"~{report.arrival_rate:g} req/s aggregate")
@@ -190,8 +194,9 @@ def fleet_summary(report) -> str:
         f"{len(report.group_stats)} groups / {total_replicas} replicas (peak)",
         f"makespan {format_seconds(report.makespan)}, "
         f"{report.throughput:,.0f} req/s served; "
-        f"{report.completed:,} completed = {report.n_requests:,} "
-        f"issued (conserved)",
+        f"{report.completed:,} completed + "
+        f"{report.n_requests - report.completed:,} shed = "
+        f"{report.n_requests:,} issued (conserved)",
         "",
         format_tenant_breakdown(report),
         "",
@@ -224,6 +229,8 @@ def fleet_summary(report) -> str:
                 f"{e.group} {e.before}->{e.after} @ {format_seconds(e.time)}"
                 for e in report.scaling_events[-3:]),
         ]
+    if report.fault_stats is not None:
+        lines += ["", format_fault_stats(report)]
     return "\n".join(lines)
 
 

@@ -90,9 +90,8 @@ class RequestColumns:
 
     The columnar twin of a ``list[Request]``: ``arrivals`` is sorted
     ascending, ``codes[i]`` indexes ``tenants`` for request ``i``. The
-    fleet simulator (:mod:`repro.serving.fleet`) consumes the columns
-    directly; the classic per-request loop materializes objects via
-    :meth:`to_requests`.
+    serving engine (:mod:`repro.serving.fleet`) consumes the columns
+    directly; :meth:`to_requests` materializes ``Request`` objects.
     """
 
     arrivals: np.ndarray  # float64, sorted ascending
@@ -116,9 +115,8 @@ class RequestColumns:
     def to_requests(self) -> list[Request]:
         """Materialize the stream as simulator ``Request`` objects.
 
-        A thin adapter for the classic per-request event loop; one
-        ``tolist`` per column instead of a per-attribute numpy indexing
-        loop.
+        One ``tolist`` per column instead of a per-attribute numpy
+        indexing loop.
         """
         names = list(self.tenants)
         return [

@@ -10,17 +10,6 @@ bulk of the stream and the slow one mop up overflow.
 from __future__ import annotations
 
 
-class RouterScaleError(RuntimeError):
-    """The per-request router was asked to rank a fleet-sized slot pool.
-
-    Ranking is O(idle · cost-model calls) per offer; past a few hundred
-    idle slots the classic event loop degrades quadratically. The fix is
-    to group homogeneous replicas and simulate with
-    :func:`repro.serving.fleet.simulate_fleet`, which routes per *group*
-    instead of per slot.
-    """
-
-
 class Router:
     """Orders idle device slots; subclasses override :meth:`rank`."""
 
@@ -85,32 +74,19 @@ class EarliestFinishRouter(Router):
     router prices ``latency(s, 128)/128`` rather than walking cost models
     out to the full queue depth. Callers whose policies batch past 128
     can raise it per instance or per call (``rank(..., probe_cap=...)``).
-
-    ``max_idle`` is a scale guard: ranking is a per-offer sort with one
-    cost-model call per idle slot, so a fleet-sized pool (hundreds of
-    replicas) turns the classic event loop quadratic. Exceeding it raises
-    :class:`RouterScaleError` pointing at the fleet simulator instead of
-    silently crawling.
+    The serving engine applies this ranking itself, cached per group
+    (:mod:`repro.serving.fleet`); ``rank`` states it for direct callers.
     """
 
     name = "earliest-finish"
 
-    def __init__(self, probe_cap: int = 128, max_idle: int = 1024):
+    def __init__(self, probe_cap: int = 128):
         if probe_cap < 1:
             raise ValueError(f"probe_cap must be >= 1, got {probe_cap}")
-        if max_idle < 1:
-            raise ValueError(f"max_idle must be >= 1, got {max_idle}")
         self.probe_cap = probe_cap
-        self.max_idle = max_idle
 
     def rank(self, idle, queue_len, cost, probe_cap=None):
         idle = self._exclude_down(idle)
-        if len(idle) > self.max_idle:
-            raise RouterScaleError(
-                f"{len(idle)} idle slots exceed the per-request router's "
-                f"max_idle={self.max_idle}; group homogeneous replicas and "
-                "use repro.serving.fleet.simulate_fleet for fleet-scale "
-                "pools (or raise max_idle explicitly)")
         cap = self.probe_cap if probe_cap is None else probe_cap
         probe = max(1, min(queue_len, cap))
         return sorted(idle, key=lambda s: (cost.latency(s, probe) / probe, s))

@@ -190,7 +190,7 @@ def scenario_columns(
     directly, and the sort is a no-op for the generators that already
     emit non-decreasing arrivals (everything but ``bursty``'s ties is a
     cumulative sum). :func:`scenario_requests` materializes the same
-    stream as ``Request`` objects for the classic loop.
+    stream as ``Request`` objects.
     """
     if n_requests < 0:
         raise ValueError(f"n_requests must be non-negative, got {n_requests}")

@@ -1,4 +1,4 @@
-"""Discrete-event, open-loop serving simulator (single- and multi-tenant).
+"""Open-loop serving on a device pool: single- and multi-tenant front ends.
 
 Generalizes the paper's Sec. 5.1 closed 10,000-task batch run into the
 system a deployment actually runs: requests arrive over time (Poisson or
@@ -19,30 +19,32 @@ workloads cannot share a batch), and every policy/router decision sees
 the deciding tenant's own latency curves. The report then breaks
 latency and SLO attainment down per tenant (:class:`TenantStats`).
 
-Event loop: a heap holds the next arrival, device-free times and policy
-wake-ups. At each event the simulator absorbs due arrivals into the
-per-tenant FIFO queues, then repeatedly offers work to idle devices —
-tenants in oldest-head-of-queue-first order, slots in router order; a
-policy either dispatches a batch (finalizing those requests' timing at
-dispatch, since compute time is deterministic) or holds, and when every
-tenant holds on every idle slot the earliest policy wake-up is scheduled.
+Both run the fleet engine (:mod:`repro.serving.fleet`): the pool becomes
+one single-replica group per device slot, labelled as
+:func:`slot_labels` names it, and the engine's per-request columns come
+back as :class:`~repro.serving.request.Request` objects. At each event
+the engine absorbs due arrivals into the per-tenant FIFO queues, then
+repeatedly offers work to idle slots — tenants in oldest-head-of-queue-
+first order, slots in router order; a policy either dispatches a batch
+or holds, and when every tenant holds on every idle slot the earliest
+policy wake-up is scheduled.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections import deque
+import gc
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.serving.costmodel import CallableCostModel
-from repro.serving.faults import (DegradedMode, FaultPlan, FaultRuntime,
-                                  FaultStats, RetryPolicy)
+from repro.serving.faults import DegradedMode, FaultPlan, FaultStats, RetryPolicy
 from repro.serving.policies import BatchingPolicy
-from repro.serving.request import Request, closed_arrivals, make_requests, poisson_arrivals
+from repro.serving.request import (Request, RequestColumns, closed_arrivals,
+                                   poisson_arrivals)
 from repro.serving.router import EarliestFinishRouter, Router
 
 
@@ -167,113 +169,22 @@ class TenantSpec:
                             f"got {type(self.degraded).__name__}")
 
 
-class _SlotCost:
-    """Maps unique slot labels to device names before cost lookups.
-
-    ``underlying`` exposes the wrapped cost model: the wrapper itself is
-    rebuilt every simulation, so anything memoizing per cost model (e.g.
-    :class:`~repro.serving.policies.AdaptiveSLOPolicy`'s drain batch) must
-    key on the underlying model, via :meth:`device_name` for the device
-    part so memos survive runs with different slot labellings.
-
-    ``scale`` multiplies every latency uniformly — the inference-partition
-    slowdown when background fine-tuning jobs hold device shares. Uniform
-    scaling preserves the throughput-optimal batch (``argmax k/latency``),
-    so the drain memo keyed on the underlying model stays valid across
-    runs with different scales.
-    """
-
-    def __init__(self, cost, slot_device: dict[str, str], scale: float = 1.0,
-                 faults: FaultRuntime | None = None):
-        self.underlying = cost
-        self._slot_device = slot_device
-        self._scale = scale
-        # Fault-injection hooks, both uniform multipliers so the drain
-        # memo stays valid: live per-slot thermal-throttle factors
-        # (faults.scale) and the tenant's degraded-mode factor.
-        self._faults = faults
-        self.extra_scale = 1.0
-
-    def latency(self, slot: str, batch_size: int) -> float:
-        base = self.underlying.latency(self._slot_device.get(slot, slot), batch_size)
-        if self._scale != 1.0:
-            base *= self._scale
-        if self._faults is not None:
-            throttle = self._faults.scale.get(slot)
-            if throttle is not None:
-                base *= throttle
-            if self.extra_scale != 1.0:
-                base *= self.extra_scale
-        return base
-
-    def device_name(self, slot: str) -> str:
-        """Device model name behind a slot label (identity for plain names)."""
-        return self._slot_device.get(slot, slot)
-
-
-class _Slot:
-    """One device execution slot."""
-
-    __slots__ = ("label", "device", "free_at", "busy_time", "batches",
-                 "requests", "histogram", "down", "stalled_until", "inflight")
-
-    def __init__(self, label: str, device: str):
-        self.label = label
-        self.device = device
-        self.free_at = 0.0
-        self.busy_time = 0.0
-        self.batches = 0
-        self.requests = 0
-        self.histogram: dict[int, int] = {}
-        # Fault-injection state (only consulted when a plan is active):
-        # down slots accept no work, stalled slots resume at stalled_until,
-        # and inflight tracks the running batch as (finish, [requests]) so
-        # a device failure can abort it.
-        self.down = False
-        self.stalled_until = 0.0
-        self.inflight: tuple[float, list[Request]] | None = None
-
-
-class _Tenant:
-    """Run-time state of one tenant: its FIFO queue and slot-aware cost."""
-
-    __slots__ = ("name", "policy", "queue", "slot_cost", "mode", "degraded")
-
-    def __init__(self, name: str, policy: BatchingPolicy, slot_cost: _SlotCost,
-                 mode: DegradedMode | None = None):
-        self.name = name
-        self.policy = policy
-        self.queue: deque[Request] = deque()
-        self.slot_cost = slot_cost
-        self.mode = mode  # graceful-degradation config, if declared
-        self.degraded = False  # currently serving in degraded mode
-
-
-def _make_slots(devices: tuple[str, ...]) -> tuple[list[_Slot], dict[str, _Slot], dict[str, str]]:
-    """Expand device names into labelled slots (``name#i`` for repeats)."""
-    totals: dict[str, int] = {}
-    for name in devices:
-        totals[name] = totals.get(name, 0) + 1
-    counts: dict[str, int] = {}
-    slots: list[_Slot] = []
-    for name in devices:
-        n_seen = counts.get(name, 0)
-        label = name if totals[name] == 1 else f"{name}#{n_seen}"
-        counts[name] = n_seen + 1
-        slots.append(_Slot(label, name))
-    by_label = {s.label: s for s in slots}
-    slot_device = {s.label: s.device for s in slots}
-    return slots, by_label, slot_device
-
-
 def slot_labels(devices: tuple[str, ...]) -> list[str]:
     """Slot labels a device tuple expands to (``name#i`` for repeats).
 
     Chaos-scenario builders use this to target individual slots of a
     pool without running a simulation.
     """
-    slots, _, _ = _make_slots(devices)
-    return [s.label for s in slots]
+    totals: dict[str, int] = {}
+    for name in devices:
+        totals[name] = totals.get(name, 0) + 1
+    seen: dict[str, int] = {}
+    labels = []
+    for name in devices:
+        i = seen.get(name, 0)
+        seen[name] = i + 1
+        labels.append(name if totals[name] == 1 else f"{name}#{i}")
+    return labels
 
 
 def validate_fault_plan(plan: FaultPlan, devices: tuple[str, ...]) -> None:
@@ -283,340 +194,138 @@ def validate_fault_plan(plan: FaultPlan, devices: tuple[str, ...]) -> None:
     simulation entry points would — lets a CLI fail fast on a malformed
     plan before any profiling happens.
     """
-    slots, _, slot_device = _make_slots(devices)
-    plan.resolve([s.label for s in slots], slot_device)
+    labels = slot_labels(tuple(devices))
+    plan.resolve(labels, dict(zip(labels, devices)))
 
 
-def _run_event_loop(
-    requests: list[Request],
-    tenants: dict[str, _Tenant],
-    slots: list[_Slot],
-    by_label: dict[str, _Slot],
-    router: Router,
-    faults: FaultRuntime | None = None,
-) -> float:
-    """Drive the heap until every request is dispatched; returns makespan.
-
-    With a fault runtime attached the loop additionally processes fault
-    happenings (device down/recover, throttle edges, stalls) and retry
-    wake-ups, tracks in-flight batches so failures can abort them, and
-    runs until every request either completed or was shed — checking the
-    request-conservation invariant at every event. Without one, the
-    fault branches are skipped entirely and the schedule is bit-identical
-    to the pre-fault simulator.
-    """
-    n_requests = len(requests)
-    heap: list[tuple[float, int, str, object]] = []
-    tick = itertools.count()  # tie-break so heap never compares payloads
-    next_arrival = 0
-    scheduled_arrival = -1  # highest arrival index with an event in the heap
-    pending_wakeup: float | None = None  # earliest wakeup event in the heap
-
-    def push(time: float, tag: str, payload: object = None) -> None:
-        heapq.heappush(heap, (time, next(tick), tag, payload))
-
-    push(requests[0].arrival, "arrival")
-    scheduled_arrival = 0
-    dispatched = 0
-    makespan = 0.0
-
-    if faults is not None:
-        for when, _seq, kind, slot_label, arg in faults.happenings:
-            push(when, "fault", (kind, slot_label, arg))
-
-    def finished() -> bool:
-        if faults is None:
-            # Dispatch finalizes timing, so dispatched == done.
-            return dispatched >= n_requests
-        # Failures can abort dispatched batches; only completion or
-        # shedding retires a request.
-        return faults.completed + faults.shed >= n_requests
-
-    while not finished():
-        now, _, tag, payload = heapq.heappop(heap)
-        if tag == "wakeup" and pending_wakeup is not None and now >= pending_wakeup:
-            pending_wakeup = None
-        elif faults is not None:
-            if tag == "fault":
-                bump = faults.apply(payload, now, by_label, router, push)
-                if bump is not None:
-                    makespan = max(makespan, bump)
-            elif tag == "retry":
-                faults.absorb_retry(payload, now, tenants)
-            elif tag == "free":
-                faults.complete(payload, now, by_label)
-
-        # Absorb every arrival due by `now`; schedule the next one exactly once.
-        while next_arrival < n_requests and requests[next_arrival].arrival <= now:
-            req = requests[next_arrival]
-            tenants[req.tenant].queue.append(req)
-            next_arrival += 1
-            if faults is not None:
-                faults.queued += 1
-        if next_arrival < n_requests and scheduled_arrival < next_arrival:
-            push(requests[next_arrival].arrival, "arrival")
-            scheduled_arrival = next_arrival
-
-        if faults is not None:
-            # No request is ever silently lost: everything issued so far
-            # is queued, on a device, awaiting retry, completed or shed.
-            faults.shed_expired(tenants, now)
-            faults.check_conservation(next_arrival)
-
-        # Offer queued work to idle devices until every policy holds or
-        # work/devices run out.
-        while True:
-            active = [t for t in tenants.values() if t.queue]
-            if not active:
-                break
-            if faults is None:
-                idle = [s.label for s in slots if s.free_at <= now]
-            else:
-                idle = [s.label for s in slots
-                        if s.free_at <= now and not s.down
-                        and s.stalled_until <= now]
-            if not idle:
-                break
-            if len(active) > 1:
-                # FIFO across tenants: offer the oldest waiting head first.
-                active.sort(key=lambda t: t.queue[0].arrival)
-            # A hold is per-(tenant, device): offer every tenant's queue to
-            # every idle slot (ranked per tenant — placement sees *that*
-            # tenant's latency curves) before giving up on this instant.
-            tenant = None
-            slot = None
-            size = None
-            for tenant in active:
-                queue = tenant.queue
-                if faults is not None:
-                    faults.update_degraded(tenant, now)
-                # Ranking a single idle slot is a no-op; skipping it also
-                # keeps legacy callable cost models (defined only up to
-                # their batch cap) away from the router's larger probes.
-                ranked = (idle if len(idle) == 1
-                          else router.rank(idle, len(queue), tenant.slot_cost))
-                oldest_wait = now - queue[0].arrival
-                for label in ranked:
-                    size = tenant.policy.decide(now, len(queue), oldest_wait,
-                                                label, tenant.slot_cost)
-                    if size is not None:
-                        slot = by_label[label]
-                        break
-                if size is not None:
-                    break
-            if size is None:
-                wakes = (t.policy.next_wakeup(now, t.queue[0].arrival) for t in active)
-                wake = min((w for w in wakes if w is not None and w > now),
-                           default=None)
-                if wake is not None and (pending_wakeup is None or wake < pending_wakeup):
-                    push(wake, "wakeup")
-                    pending_wakeup = wake
-                if not heap:
-                    names = ",".join(t.policy.name for t in active)
-                    raise RuntimeError(
-                        f"policy {names!r} held with no pending events")
-                break
-            queue = tenant.queue
-            size = max(1, min(size, len(queue)))
-            duration = tenant.slot_cost.latency(slot.label, size)
-            if duration <= 0:
-                raise ValueError("batch_time must return a positive duration")
-            idle_since = slot.free_at
-            finish = now + duration
-            if faults is None:
-                for _ in range(size):
-                    req = queue.popleft()
-                    req.dispatch = now
-                    req.finish = finish
-                    req.device = slot.label
-                    req.batch_size = size
-                    req.formation_wait = max(0.0, now - max(req.arrival, idle_since))
-            else:
-                degraded = tenant.degraded
-                batch: list[Request] = []
-                for _ in range(size):
-                    req = queue.popleft()
-                    req.dispatch = now
-                    req.finish = finish
-                    req.device = slot.label
-                    req.batch_size = size
-                    req.formation_wait = max(0.0, now - max(req.arrival, idle_since))
-                    req.degraded = degraded
-                    batch.append(req)
-                if slot.inflight is not None:
-                    # The slot's free event is still in the heap (tie at
-                    # `now`); absorb the finished batch before overwriting
-                    # so it isn't lost. The pending event goes stale.
-                    faults.complete(slot.label, now, by_label)
-                slot.inflight = (finish, batch)
-                faults.note_dispatch(size, degraded, tenant.name)
-            slot.free_at = finish
-            slot.busy_time += duration
-            slot.batches += 1
-            slot.requests += size
-            slot.histogram[size] = slot.histogram.get(size, 0) + 1
-            router.note_dispatch(slot.label)
-            dispatched += size
-            makespan = max(makespan, finish)
-            push(finish, "free", slot.label)
-    return makespan
-
-
-def _timing_columns(requests: list[Request]) -> tuple[np.ndarray, ...]:
-    """One pass over the request objects → (arrival, dispatch, finish,
-    formation_wait) columns; a single fromiter instead of four
-    per-attribute walks."""
-    table = np.fromiter(
-        ((r.arrival, r.dispatch, r.finish, r.formation_wait) for r in requests),
-        dtype=np.dtype((np.float64, 4)), count=len(requests),
-    ).reshape(len(requests), 4)
-    return table[:, 0], table[:, 1], table[:, 2], table[:, 3]
-
-
-def _tenant_breakdown(
-    requests: list[Request],
-    latencies: np.ndarray,
-    queue_times: np.ndarray,
-    makespan: float,
+def _serve(
     tenants: Sequence[TenantSpec],
-) -> dict[str, TenantStats]:
-    """Per-tenant latency / SLO stats over the finished request stream."""
-    index = {spec.name: i for i, spec in enumerate(tenants)}
-    codes = np.fromiter((index[r.tenant] for r in requests),
-                        dtype=np.int64, count=len(requests))
-    out: dict[str, TenantStats] = {}
-    for i, spec in enumerate(tenants):
-        mask = codes == i
-        n = int(mask.sum())
-        if n:
-            lat = latencies[mask]
-            p50, p95, p99 = np.percentile(lat, [50, 95, 99])
-            mean_lat = float(lat.mean())
-            mean_queue = float(queue_times[mask].mean())
-            attainment = (float((lat <= spec.slo).mean())
-                          if spec.slo is not None else None)
-        else:
-            p50 = p95 = p99 = mean_lat = mean_queue = 0.0
-            attainment = 1.0 if spec.slo is not None else None
-        out[spec.name] = TenantStats(
-            tenant=spec.name,
-            n_requests=n,
-            slo=spec.slo,
-            throughput=n / makespan if makespan > 0 else 0.0,
-            mean_latency=mean_lat,
-            p50_latency=float(p50),
-            p95_latency=float(p95),
-            p99_latency=float(p99),
-            mean_queue_time=mean_queue,
-            slo_attainment=attainment,
-        )
+    devices: tuple[str, ...],
+    columns: RequestColumns,
+    index: np.ndarray | None,
+    router: Router | None,
+    faults: FaultPlan | None,
+    retry: RetryPolicy | None,
+    slowdown: float = 1.0,
+):
+    """Run the engine on one single-replica group per slot of ``devices``."""
+    from repro.serving.fleet import DeviceGroup, _FleetEngine
+
+    router = router or EarliestFinishRouter()
+    earliest = type(router) is EarliestFinishRouter
+    engine = _FleetEngine(
+        tenants, [DeviceGroup(d, 1) for d in devices], columns, None, faults,
+        0.0, router.probe_cap if earliest else 128,
+        labels=slot_labels(tuple(devices)),
+        router=None if earliest else router, retry=retry, slowdown=slowdown,
+        index=index, record=True)
+    engine.run()
+    return engine, router.name
+
+
+def _runs(values: np.ndarray) -> Iterator[float]:
+    """Iterate ``values`` as floats, one float object per run of equal
+    values: a batch's members share their dispatch and finish instants,
+    and most formation waits are zero."""
+    if not values.size:
+        return iter(())
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    lengths = np.diff(np.append(starts, values.size))
+    return chain.from_iterable(map(repeat, values[starts].tolist(),
+                                   lengths.tolist()))
+
+
+def _requests(engine, columns: RequestColumns,
+              source: list[Request] | None) -> list[Request]:
+    """One :class:`Request` per stream entry, timings filled in.
+
+    ``source`` is the caller's stream in stream order, if it gave one;
+    the copies share its index and arrival objects. Each tenant's
+    recorded columns are released once its requests are filled in.
+    """
+    labels = [*engine.labels, ""]
+    # Requests hold no reference cycles, so a collection triggered by
+    # building millions of them could free nothing; pause the collector.
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        out = (columns.to_requests() if source is None else
+               [Request(r.index, r.arrival, r.tenant) for r in source])
+    finally:
+        if paused:
+            gc.enable()
+    for t in range(len(columns.tenants)):
+        positions = engine.order[engine.bounds[t]:engine.bounds[t + 1]].tolist()
+        for p, dispatch, finish, group, size, formation, degraded in zip(
+                positions, _runs(engine.disp_t[t]), _runs(engine.fin_t[t]),
+                engine.grp_t[t].tolist(), engine.bs_t[t].tolist(),
+                _runs(engine.form_t[t]), engine.deg_t[t].tolist()):
+            req = out[p]
+            req.dispatch, req.finish, req.device = dispatch, finish, labels[group]
+            req.batch_size, req.formation_wait = size, formation
+            req.degraded = degraded
+        for i in np.flatnonzero(np.isnan(engine.lat_t[t])).tolist():
+            req = out[positions[i]]  # shed: no timing
+            req.dispatch = req.finish = math.nan
+            req.device, req.batch_size, req.formation_wait = "", 0, 0.0
+            req.shed, req.degraded = True, False
+        for column in (engine.disp_t, engine.fin_t, engine.form_t,
+                       engine.grp_t, engine.bs_t, engine.deg_t, engine.lat_t):
+            column[t] = None
+    for (t, i), count in engine.retries.items():
+        out[engine.order[engine.bounds[t] + i]].retries = count
     return out
 
 
-def _summarize(
-    requests: list[Request],
-    slots: list[_Slot],
-    makespan: float,
+def _report(
+    engine,
+    columns: RequestColumns,
+    source: list[Request] | None,
     policy_name: str,
     router_name: str,
     arrival_rate: float | None,
-    tenants: Sequence[TenantSpec] | None = None,
+    tenant_breakdown: bool = True,
     finetune_stats: dict | None = None,
     inference_slowdown: float = 1.0,
     fault_stats: FaultStats | None = None,
 ) -> ServingReport:
-    """Collapse finished requests + slot accounting into a report.
+    """Collapse the engine's columns and slot accounting into a report.
 
-    One pass over the requests builds every timing column; the latency /
-    queue / service decompositions and all three percentiles fall out of
-    array arithmetic instead of per-request property walks. Handles the
-    empty stream (``n_requests=0``) with an all-zero, well-formed report.
-
-    Shed requests (fault runs only) have no completion timing: latency
-    statistics cover completed requests, ``n_requests`` stays the issued
-    total, and throughput counts only completed requests.
+    Latency statistics cover completed requests; ``n_requests`` stays
+    the issued total and throughput counts only completed requests. The
+    empty stream gives an all-zero, well-formed report.
     """
-    n_requests = len(requests)
-    completed_requests = requests
-    if fault_stats is not None and fault_stats.shed:
-        completed_requests = [r for r in requests if not r.shed]
-    n_completed = len(completed_requests)
-    if n_completed:
-        arrival_col, dispatch_col, finish_col, formation_col = (
-            _timing_columns(completed_requests))
-        latencies = finish_col - arrival_col
-        queue_times = dispatch_col - arrival_col
-        service_times = finish_col - dispatch_col
-        p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
-        mean_latency = float(latencies.mean())
-        mean_queue = float(queue_times.mean())
-        mean_formation = float(formation_col.mean())
-        mean_service = float(service_times.mean())
-    else:
-        latencies = queue_times = np.empty(0)
-        p50 = p95 = p99 = 0.0
-        mean_latency = mean_queue = mean_formation = mean_service = 0.0
-    stats = {
-        s.label: DeviceStats(
-            slot=s.label,
-            device=s.device,
-            batches=s.batches,
-            requests=s.requests,
-            busy_time=s.busy_time,
-            utilization=s.busy_time / makespan if makespan > 0 else 0.0,
-            mean_batch=s.requests / s.batches if s.batches else 0.0,
-            batch_histogram=dict(sorted(s.histogram.items())),
+    from repro.serving.fleet import _summary, _tenant_stats
+
+    summary = _summary(engine)[0]
+    tenant_stats = _tenant_stats(engine) if tenant_breakdown else {}
+    makespan = engine.makespan
+    device_stats = {
+        label: DeviceStats(
+            slot=label,
+            device=engine.gdev[g],
+            batches=engine.batches[g],
+            requests=engine.requests[g],
+            busy_time=engine.busy[g],
+            utilization=engine.busy[g] / makespan if makespan > 0 else 0.0,
+            mean_batch=(engine.requests[g] / engine.batches[g]
+                        if engine.batches[g] else 0.0),
+            batch_histogram=dict(sorted(engine.hist[g].items())),
         )
-        for s in slots
+        for g, label in enumerate(engine.labels)
     }
-    tenant_stats = (
-        _tenant_breakdown(completed_requests, latencies, queue_times, makespan,
-                          tenants)
-        if tenants is not None else {}
-    )
     return ServingReport(
         policy=policy_name,
         router=router_name,
-        n_requests=n_requests,
         arrival_rate=arrival_rate,
-        makespan=makespan,
-        throughput=n_completed / makespan if makespan > 0 else 0.0,
-        mean_latency=mean_latency,
-        p50_latency=float(p50),
-        p95_latency=float(p95),
-        p99_latency=float(p99),
-        mean_queue_time=mean_queue,
-        mean_formation_wait=mean_formation,
-        mean_service_time=mean_service,
-        device_stats=stats,
-        requests=requests,
+        **summary,
+        device_stats=device_stats,
+        requests=_requests(engine, columns, source),
         tenant_stats=tenant_stats,
         finetune_stats=finetune_stats or {},
         inference_slowdown=inference_slowdown,
         fault_stats=fault_stats,
     )
-
-
-def _make_fault_runtime(
-    faults: FaultPlan | None,
-    retry: RetryPolicy | None,
-    tenants: Sequence[TenantSpec] | None,
-    slots: list[_Slot],
-    slot_device: dict[str, str],
-) -> FaultRuntime | None:
-    """Build the per-run fault runtime, or ``None`` for a fault-free run.
-
-    Any fault input — a plan (even an empty one), a retry policy (its
-    deadline sheds without device failures), or a tenant with a declared
-    degraded mode — activates the fault path; plan validation happens
-    here, before the event loop, so a malformed plan raises
-    :class:`~repro.serving.faults.FaultPlanError` instead of deadlocking.
-    """
-    degraded = any(spec.degraded is not None for spec in tenants or ())
-    if faults is None and retry is None and not degraded:
-        return None
-    return FaultRuntime(faults or FaultPlan(), retry or RetryPolicy(),
-                        [s.label for s in slots], slot_device)
 
 
 def simulate(
@@ -657,31 +366,20 @@ def simulate(
     """
     if not devices:
         raise ValueError("need at least one device")
-    if callable(cost) and not hasattr(cost, "latency"):
-        cost = CallableCostModel(cost)
-    router = router or EarliestFinishRouter()
-
     if arrival_rate is None:
         arrivals = closed_arrivals(n_requests)
     else:
         arrivals = poisson_arrivals(n_requests, arrival_rate, seed=seed)
-    requests = make_requests(arrivals)
-
-    slots, by_label, slot_device = _make_slots(devices)
-    fault_runtime = _make_fault_runtime(faults, retry, None, slots, slot_device)
-    tenant = _Tenant("", policy, _SlotCost(cost, slot_device,
-                                           faults=fault_runtime))
-    makespan = (
-        _run_event_loop(requests, {"": tenant}, slots, by_label, router,
-                        faults=fault_runtime)
-        if requests else 0.0
-    )
-    fault_stats = None
-    if fault_runtime is not None:
-        fault_stats = fault_runtime.build_stats(makespan, requests,
-                                                {"": (None, None)})
-    return _summarize(requests, slots, makespan, policy.name, router.name,
-                      arrival_rate, fault_stats=fault_stats)
+    tenants = [TenantSpec("", cost, policy)]
+    columns = RequestColumns(arrivals, np.zeros(arrivals.size, dtype=np.int64),
+                             ("",))
+    engine, router_name = _serve(tenants, tuple(devices), columns, None,
+                                 router, faults, retry)
+    fault_stats = (engine.fault_stats()
+                   if faults is not None or retry is not None else None)
+    return _report(engine, columns, None, policy.name, router_name,
+                   arrival_rate, tenant_breakdown=False,
+                   fault_stats=fault_stats)
 
 
 def simulate_mixed(
@@ -706,10 +404,9 @@ def simulate_mixed(
     not given, the traffic mix is generated by the named ``scenario``
     (see :mod:`repro.serving.scenarios`) from the tenants' ``weight``
     fields; pass a pre-built, tenant-tagged request list to replay a
-    custom stream (the list is copied, so the same stream can be replayed
-    across runs without one run's timings clobbering another report's).
-    The report carries per-tenant latency/SLO breakdowns in
-    ``tenant_stats``.
+    custom stream (the report carries fresh request objects, so the same
+    stream can be replayed across runs). The report carries per-tenant
+    latency/SLO breakdowns in ``tenant_stats``.
 
     ``finetune`` adds background training jobs
     (:class:`~repro.serving.finetune.FinetuneJob`): each holds a stream
@@ -720,11 +417,12 @@ def simulate_mixed(
     ``faults`` injects a declarative fault plan
     (:class:`~repro.serving.faults.FaultPlan`) — device failures abort
     in-flight batches (re-queued under ``retry``, shed past its bounds),
-    throttle windows slow devices, and tenants with a declared
-    ``degraded`` mode shed an encoder under pressure. The report's
-    ``fault_stats`` accounts for all of it; background fine-tuning jobs
-    additionally checkpoint/restart around each slot's down windows. An
-    empty plan reproduces the fault-free schedule bit-identically.
+    throttle windows slow devices, stalls freeze them, and tenants with a
+    declared ``degraded`` mode shed an encoder under pressure. The
+    report's ``fault_stats`` accounts for all of it; background
+    fine-tuning jobs additionally checkpoint/restart around each slot's
+    down windows. An empty plan reproduces the fault-free schedule
+    bit-identically.
     """
     if not tenants:
         raise ValueError("need at least one tenant")
@@ -749,7 +447,6 @@ def simulate_mixed(
                 faults, source="simulate_mixed",
                 devices=slot_labels(tuple(devices)), horizon=horizon))
         check(pre, what="serving configuration")
-    router = router or EarliestFinishRouter()
 
     slowdown = 1.0
     if finetune:
@@ -757,44 +454,38 @@ def simulate_mixed(
 
         slowdown = inference_slowdown(finetune)
 
+    index = source = None
     if requests is None:
-        from repro.serving.scenarios import scenario_requests
+        from repro.serving.scenarios import scenario_columns
 
-        requests = scenario_requests(scenario, tenants, n_requests=n_requests,
-                                     arrival_rate=arrival_rate, seed=seed)
+        columns = scenario_columns(scenario, tenants, n_requests=n_requests,
+                                   arrival_rate=arrival_rate, seed=seed)
     else:
         unknown = {r.tenant for r in requests} - set(names)
         if unknown:
             raise ValueError(f"requests reference unknown tenants {sorted(unknown)}")
-        # Fresh copies (timing fields reset): the loop fills them in
-        # place, and the caller's stream must stay replayable.
-        requests = [Request(index=r.index, arrival=r.arrival, tenant=r.tenant)
-                    for r in requests]
-        arrivals = np.fromiter((r.arrival for r in requests),
-                               dtype=np.float64, count=len(requests))
+        source = requests
+        arrivals = np.fromiter((r.arrival for r in source), dtype=np.float64,
+                               count=len(source))
         if arrivals.size and np.any(np.diff(arrivals) < 0):
-            requests.sort(key=lambda r: r.arrival)
+            order = np.argsort(arrivals, kind="stable")
+            arrivals = arrivals[order]
+            source = [source[k] for k in order.tolist()]
+        code = {name: i for i, name in enumerate(names)}
+        codes = np.fromiter((code[r.tenant] for r in source), dtype=np.int64,
+                            count=len(source))
+        index = np.fromiter((r.index for r in source), dtype=np.int64,
+                            count=len(source))
+        if np.array_equal(index, np.arange(index.size)):
+            index = None  # request ids are stream positions
+        columns = RequestColumns(arrivals, codes, tuple(names))
 
-    slots, by_label, slot_device = _make_slots(devices)
-    fault_runtime = _make_fault_runtime(faults, retry, tenants, slots,
-                                        slot_device)
-    states = {
-        spec.name: _Tenant(spec.name, spec.policy,
-                           _SlotCost(spec.cost, slot_device, scale=slowdown,
-                                     faults=fault_runtime),
-                           mode=spec.degraded)
-        for spec in tenants
-    }
-    makespan = (
-        _run_event_loop(requests, states, slots, by_label, router,
-                        faults=fault_runtime)
-        if requests else 0.0
-    )
+    engine, router_name = _serve(tenants, tuple(devices), columns, index,
+                                 router, faults, retry, slowdown)
     fault_stats = None
-    if fault_runtime is not None:
-        fault_stats = fault_runtime.build_stats(
-            makespan, requests,
-            {spec.name: (spec.degraded, spec.slo) for spec in tenants})
+    if (faults is not None or retry is not None
+            or any(spec.degraded is not None for spec in tenants)):
+        fault_stats = engine.fault_stats()
     finetune_stats = None
     if finetune:
         from repro.serving.finetune import finetune_progress
@@ -804,11 +495,9 @@ def simulate_mixed(
             down_windows = {label: stats.down_windows
                             for label, stats in fault_stats.devices.items()
                             if stats.down_windows}
-        finetune_stats = finetune_progress(finetune, slot_device, makespan,
-                                           down_windows=down_windows)
-    return _summarize(requests, slots, makespan,
-                      f"mixed({len(tenants)} tenants)", router.name,
-                      arrival_rate, tenants=tenants,
-                      finetune_stats=finetune_stats,
-                      inference_slowdown=slowdown,
-                      fault_stats=fault_stats)
+        finetune_stats = finetune_progress(
+            finetune, dict(zip(engine.labels, engine.gdev)), engine.makespan,
+            down_windows=down_windows)
+    return _report(engine, columns, source, f"mixed({len(tenants)} tenants)",
+                   router_name, arrival_rate, finetune_stats=finetune_stats,
+                   inference_slowdown=slowdown, fault_stats=fault_stats)

@@ -260,12 +260,17 @@ class TestServeFleetCommand:
         assert code == 2
         assert "autoscale" in capsys.readouterr().err
 
-    def test_fleet_rejects_stall_scenarios(self, capsys):
+    def test_fleet_runs_stall_scenarios(self, capsys):
+        # flaky-device flaps the last group down and up with stalls in
+        # between; fleet runs take the same fault plans as --mix runs.
         code = main(["serve", "--fleet", "--groups", "2080ti:2,nano:2",
-                     "--workloads", "avmnist", "--n-requests", "100",
-                     "--arrival-rate", "500", "--faults", "flaky-device"])
-        assert code == 2
-        assert "stall" in capsys.readouterr().err
+                     "--workloads", "avmnist", "--policy", "fixed",
+                     "--batch-size", "8", "--n-requests", "2000",
+                     "--arrival-rate", "1500", "--faults", "flaky-device"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "Per-device fault windows" in out
+        assert "= 2,000 issued (conserved)" in out
 
     def test_fleet_rejects_round_robin_router(self, capsys):
         code = main(["serve", "--fleet", "--groups", "2080ti:2",

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.serving import (
@@ -25,7 +26,9 @@ from repro.serving import (
     slot_labels,
     validate_fault_plan,
 )
-from repro.serving.faults import FaultRuntime, _jitter_fraction
+from repro.serving.faults import _jitter_fraction
+from repro.serving.fleet import DeviceGroup, _FleetEngine
+from repro.serving.request import RequestColumns
 from repro.serving.finetune import FinetuneJob, _up_windows, finetune_progress
 
 
@@ -288,13 +291,22 @@ class TestRetryPolicy:
 
 
 class TestConservationUnit:
-    def test_check_conservation_raises_on_mismatch(self):
-        runtime = FaultRuntime(FaultPlan(), RetryPolicy(), ("a",),
-                               {"a": "a"})
-        runtime.queued = 1
+    @staticmethod
+    def engine(n=50):
+        tenants = [TenantSpec("t", affine, FixedBatchPolicy(8))]
+        columns = RequestColumns(np.linspace(0.0, 0.01, n),
+                                 np.zeros(n, dtype=np.int64), ("t",))
+        return _FleetEngine(tenants, (DeviceGroup("a", 1),), columns, None,
+                            FaultPlan(), hop_bytes=0.0, probe_cap=128)
+
+    def test_unbalanced_counters_make_the_engine_raise(self):
+        engine = self.engine()
+        engine.queued = 1
         with pytest.raises(RuntimeError, match="conservation"):
-            runtime.check_conservation(issued=0)
-        runtime.check_conservation(issued=1)  # balanced again
+            engine.run()
+        balanced = self.engine()
+        balanced.run()
+        assert balanced.completed + balanced.shed == 50
 
 
 class TestDegradedMode:

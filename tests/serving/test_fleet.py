@@ -1,12 +1,13 @@
-"""Fleet simulator: classic-parity differential, autoscaling, faults, hops.
+"""Fleet simulator: differential against the per-event oracle, autoscaling,
+faults, hops.
 
-The tier-1 anchor is the differential suite: with autoscaling off, no
-faults and no hop costs, :func:`simulate_fleet` on homogeneous device
-groups must reproduce the classic per-slot simulator (earliest-finish
-router, same devices) to 1e-9 — completions, latency percentiles,
-per-tenant SLO attainment, the lot. The fleet loop visits a subset of
-the classic loop's event times but makes identical dispatch decisions
-at identical instants.
+The tier-1 anchor is the differential suite: with autoscaling off and no
+hop costs, :func:`simulate_fleet` on homogeneous device groups must
+reproduce the per-event loop kept in ``classic_reference`` (earliest-
+finish router, same devices) to 1e-9 — completions, latency
+percentiles, per-tenant SLO attainment, the lot. The engine visits a
+subset of the oracle's event times but makes identical dispatch
+decisions at identical instants.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.serving import (
     make_tenants,
     parse_autoscale,
     parse_groups,
+    RetryPolicy,
     scenario_columns,
     simulate_fleet,
     simulate_mixed,
@@ -40,6 +42,8 @@ from repro.serving.faults import (
 )
 from repro.serving.fleet import _FleetEngine
 from repro.workloads.registry import list_workloads
+
+from tests.serving import classic_reference
 
 REPORT_ATTRS = (
     "makespan", "mean_latency", "p50_latency", "p95_latency", "p99_latency",
@@ -77,10 +81,10 @@ def assert_matches_classic(tenants_fleet, tenants_classic, groups, devices,
     fleet = simulate_fleet(tenants_fleet, groups, n_requests=n_requests,
                            arrival_rate=arrival_rate, scenario=scenario,
                            seed=seed, faults=faults)
-    classic = simulate_mixed(tenants_classic, devices=devices,
-                             n_requests=n_requests, arrival_rate=arrival_rate,
-                             scenario=scenario, seed=seed, faults=faults,
-                             router=EarliestFinishRouter())
+    classic = classic_reference.simulate_mixed(
+        tenants_classic, devices=devices, n_requests=n_requests,
+        arrival_rate=arrival_rate, scenario=scenario, seed=seed,
+        faults=faults, router=EarliestFinishRouter())
     assert fleet.n_requests == classic.n_requests
     for attr in REPORT_ATTRS:
         assert getattr(fleet, attr) == pytest.approx(
@@ -96,7 +100,7 @@ def assert_matches_classic(tenants_fleet, tenants_classic, groups, devices,
     return fleet, classic
 
 
-# -- tier-1 differential: fleet == classic --------------------------------------------------------
+# -- tier-1 differential: fleet == the per-event oracle ---------------------------------------------
 
 
 @pytest.mark.parametrize("policy_factory", [
@@ -173,8 +177,9 @@ def test_differential_fleet_scale_slo_regime():
 def test_differential_throttle_window(make):
     # A throttle scales one group's curves for a window, which reorders
     # the group ranking (2080ti x4 is slower than nano) and withdraws the
-    # dense tables; both engines scale latencies identically, so they
-    # must still agree before, during and after the window.
+    # dense tables; the engine and the oracle scale latencies
+    # identically, so they must still agree before, during and after the
+    # window.
     plan = FaultPlan(events=(ThermalThrottle(device="2080ti", time=1.0,
                                              until=2.5, factor=4.0),))
     fleet, _ = assert_matches_classic(
@@ -216,13 +221,41 @@ def test_duplicate_group_devices_rejected():
                        n_requests=10, arrival_rate=100.0)
 
 
-def test_stall_fault_plans_rejected():
-    plan = FaultPlan(events=(TransientStall(time=0.1, device="2080ti",
+def test_group_stall_delays_every_replica_and_conserves():
+    # The stall lands while both replicas of the group are busy: each
+    # in-flight batch finishes late, and every request still completes.
+    def run(plan):
+        return simulate_fleet(analytic_tenants(lambda: FixedBatchPolicy(4)),
+                              (DeviceGroup("2080ti", 2),), n_requests=2_000,
+                              arrival_rate=900.0, seed=0, faults=plan)
+
+    clean = run(None)
+    plan = FaultPlan(events=(TransientStall(time=0.5, device="2080ti",
                                             duration=0.05),))
-    with pytest.raises(FleetConfigError, match="stall"):
-        simulate_fleet(analytic_tenants(lambda: FixedBatchPolicy(4)),
-                       (DeviceGroup("2080ti", 2),),
-                       n_requests=100, arrival_rate=100.0, faults=plan)
+    stalled = run(plan)
+    assert stalled.completed == stalled.n_requests == 2_000
+    assert stalled.fault_stats.completed + stalled.fault_stats.shed == 2_000
+    assert stalled.fault_stats.devices["2080ti"].stall_time == 0.05
+    assert stalled.mean_latency > clean.mean_latency
+    # Both replicas were caught by the stall: the latest finish among the
+    # batches in flight at t=0.5 moved by the stall's duration.
+    engine = _FleetEngine(analytic_tenants(lambda: FixedBatchPolicy(4)),
+                          (DeviceGroup("2080ti", 2),),
+                          scenario_columns("uniform", analytic_tenants(
+                              lambda: FixedBatchPolicy(4)), 2_000,
+                              arrival_rate=900.0, seed=0),
+                          None, plan, hop_bytes=0.0, probe_cap=128)
+    stretched = []
+    stretch = engine._stretch
+
+    def record(g, ridx, rec, finish):
+        stretched.append((ridx, finish - rec.finish))
+        stretch(g, ridx, rec, finish)
+
+    engine._stretch = record
+    engine.run()
+    assert sorted(r for r, _ in stretched) == [0, 1]
+    assert all(d == pytest.approx(0.05) for _, d in stretched)
 
 
 def test_columns_tenant_mismatch_rejected():
@@ -396,8 +429,55 @@ def test_group_down_reroutes_and_conserves():
                             (DeviceGroup("2080ti", 2), DeviceGroup("nano", 2)),
                             n_requests=8_000, arrival_rate=1_800.0, seed=0,
                             faults=plan)
-    assert report.completed == 8_000
+    fs = report.fault_stats
+    assert report.completed + fs.shed == fs.issued == 8_000
+    assert fs.devices["2080ti"].aborted_batches > 0
     assert all(s.requests > 0 for s in report.group_stats.values())
+
+
+# -- one fault semantics: the fleet front end on replica-1 groups == simulate_mixed ---------------
+
+
+def three_workloads():
+    return make_tenants(["avmnist", "mmimdb", "mustard"], slo=50e-3)
+
+
+def assert_same_fault_outcome(groups, devices, plan):
+    fleet = simulate_fleet(three_workloads(), groups, n_requests=20_000,
+                           arrival_rate=100e3, seed=0, faults=plan)
+    mixed = simulate_mixed(three_workloads(), devices=devices,
+                           n_requests=20_000, arrival_rate=100e3, seed=0,
+                           faults=plan, retry=RetryPolicy())
+    assert fleet.p99_latency == pytest.approx(mixed.p99_latency, abs=1e-9)
+    assert fleet.fault_stats.retries == mixed.fault_stats.retries
+    assert fleet.fault_stats.shed == mixed.fault_stats.shed
+    # ...and both give the per-event oracle's answer.
+    oracle = classic_reference.simulate_mixed(
+        three_workloads(), devices=devices, n_requests=20_000,
+        arrival_rate=100e3, seed=0, faults=plan, retry=RetryPolicy())
+    assert mixed.p99_latency == pytest.approx(oracle.p99_latency, abs=1e-9)
+    assert mixed.fault_stats.retries == oracle.fault_stats.retries
+    return fleet, mixed
+
+
+def test_device_down_aborts_in_flight_batches_like_simulate_mixed():
+    # The failing 2080ti aborts the batch it is running; its requests
+    # retry. Letting the batch drain instead would halve the p99.
+    plan = FaultPlan(events=(DeviceDown(time=0.05, device="2080ti"),
+                             DeviceRecover(time=0.15, device="2080ti")))
+    fleet, _ = assert_same_fault_outcome(
+        "2080ti:1,orin:1,nano:1", ("2080ti", "orin", "nano"), plan)
+    assert fleet.fault_stats.retries > 0
+    assert fleet.fault_stats.devices["2080ti"].aborted_batches > 0
+
+
+def test_overlapping_throttles_multiply_like_simulate_mixed():
+    # 2.0x over 0.02-0.10 s and 3.0x over 0.05-0.15 s: 6x while both are
+    # on, and the 3x window outlives the first throttle-off.
+    plan = FaultPlan(events=(
+        ThermalThrottle(device="2080ti", time=0.02, until=0.10, factor=2.0),
+        ThermalThrottle(device="2080ti", time=0.05, until=0.15, factor=3.0)))
+    assert_same_fault_outcome("2080ti:1,nano:1", ("2080ti", "nano"), plan)
 
 
 def test_group_throttle_stretches_latency():
