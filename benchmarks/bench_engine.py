@@ -2,7 +2,7 @@
 
 Measures the tentpole of the columnar execution path: for each registry
 workload it captures one meta-backend trace at batch 64, prices it with
-the scalar reference engine (:mod:`repro.hw.reference`, one Python call
+the scalar reference engine (``tests/hw/scalar_reference.py``, one Python call
 chain per kernel event) and with the vectorized
 :class:`~repro.hw.engine.ExecutionEngine` (numpy over
 :class:`~repro.trace.columns.TraceColumns`), checks the two totals agree
@@ -33,15 +33,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
 from repro.hw.device import get_device
 from repro.hw.engine import ExecutionEngine
-from repro.hw.reference import ScalarExecutionEngine
 from repro.profiling.profiler import price_grid
 from repro.trace.store import TraceStore
 from repro.workloads.registry import list_workloads
+
+# The scalar oracle lives with the tests that use it.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.hw.scalar_reference import ScalarExecutionEngine  # noqa: E402
 
 GRID_DEVICES = ("2080ti", "orin", "nano")
 GRID_BATCHES = (1, 8, 64)

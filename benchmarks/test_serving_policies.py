@@ -60,13 +60,13 @@ def test_policy_matrix(workload_cost):
             f"{report.p99_latency * 1e3:.2f} ms",
             f"{report.slo_attainment(SLO):.1%}",
             "; ".join(f"{s}:{stats.mean_batch:.1f}"
-                      for s, stats in sorted(report.device_stats.items())),
+                      for s, stats in sorted(report.group_stats.items())),
         ])
         # Everyone gets served, accounting is coherent.
         assert report.n_requests == 3_000
         assert all(r.finish >= r.dispatch >= r.arrival for r in report.requests)
         assert report.p50_latency <= report.p99_latency
-        assert sum(s.requests for s in report.device_stats.values()) == 3_000
+        assert sum(s.requests for s in report.group_stats.values()) == 3_000
     print_table(
         f"Serving policies: {workload} at {rate:,.0f} req/s on {'+'.join(DEVICES)}",
         ["policy", "throughput", "p50", "p99", f"SLO<={SLO * 1e3:.0f}ms", "mean batch"],
@@ -114,7 +114,7 @@ def test_heterogeneous_routing_uses_both_devices():
     rate = 1.2 * no_batching_capacity(cost, DEVICES)
     report = simulate(cost, AdaptiveSLOPolicy(SLO), devices=DEVICES,
                       n_requests=3_000, arrival_rate=rate, seed=0)
-    server, edge = report.device_stats["2080ti"], report.device_stats["nano"]
+    server, edge = report.group_stats["2080ti"], report.group_stats["nano"]
     assert server.requests > edge.requests > 0
     assert server.utilization > 0.2 and edge.utilization > 0.2
 

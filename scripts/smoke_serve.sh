@@ -53,18 +53,18 @@ rm -rf "$plandir"
 
 # Fleet-scale serving: grouped replicas, reactive autoscaling, and
 # group-level chaos scenarios (flaky-device stalls whole groups).
-"${run[@]}" serve --fleet --groups 2080ti:4,orin:2,nano:2 \
+"${run[@]}" serve --groups 2080ti:4,orin:2,nano:2 \
     --mix heavy-head --workloads avmnist,mmimdb,transfuser \
     --arrival-rate 3000 --n-requests 3000 --policy adaptive \
-    | grep "Per-group fleet breakdown"
-"${run[@]}" serve --fleet --groups 2080ti:1:6 --workloads transfuser \
+    | grep "Per-group breakdown"
+"${run[@]}" serve --groups 2080ti:1:6 --workloads transfuser \
     --policy fixed --batch-size 8 --arrival-rate 6000 --n-requests 3000 \
     --autoscale queue:16:0.02:0.04 --autoscale-max 6 \
     | grep "autoscaling:"
-"${run[@]}" serve --fleet --groups 2080ti:2,nano:2 --workloads avmnist \
+"${run[@]}" serve --groups 2080ti:2,nano:2 --workloads avmnist \
     --faults single-failure --arrival-rate 1500 --n-requests 2000 \
     --policy fixed --batch-size 8 | grep "issued (conserved)"
-"${run[@]}" serve --fleet --groups 2080ti:2,nano:2 --workloads avmnist \
+"${run[@]}" serve --groups 2080ti:2,nano:2 --workloads avmnist \
     --faults flaky-device --arrival-rate 1500 --n-requests 2000 \
     --policy fixed --batch-size 8 | grep "Per-device fault windows"
 

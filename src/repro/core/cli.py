@@ -11,6 +11,7 @@ options as command-line parameters)::
     mmbench analyze batch-size --cache-dir ~/.cache/mmbench
     mmbench serve --workload avmnist --arrival-rate 100 --policy adaptive
     mmbench serve --mix heavy-head --arrival-rate 2000 --devices 2080ti,orin,nano
+    mmbench serve --groups 2080ti:64,orin:32,nano:16 --arrival-rate 200000
 
 Trace-capturing subcommands accept ``--backend {eager,meta}`` (meta — the
 default — propagates shapes analytically and emits an event-for-event
@@ -139,7 +140,7 @@ def _build_fault_inputs(args, devices):
     """Resolve the serve fault flags into a validated ``(plan, retry)`` pair.
 
     Raises :class:`~repro.serving.faults.FaultPlanError` (a ``ValueError``)
-    on any malformed input, so the serve commands' up-front validation
+    on any malformed input, so the serve command's up-front validation
     turns it into a clean exit-2 line instead of a traceback mid-run.
     """
     import os
@@ -148,9 +149,9 @@ def _build_fault_inputs(args, devices):
                                validate_fault_plan)
     from repro.serving.faults import CHAOS_SCENARIO_NAMES, FaultPlanError
 
-    if args.retry_max < 0:
+    if args.retry_max is not None and args.retry_max < 0:
         raise ValueError(f"--retry-max must be non-negative, got {args.retry_max}")
-    if args.retry_backoff <= 0:
+    if args.retry_backoff is not None and args.retry_backoff <= 0:
         raise ValueError(f"--retry-backoff must be positive, "
                          f"got {args.retry_backoff}")
     if args.request_deadline is not None and args.request_deadline <= 0:
@@ -175,134 +176,130 @@ def _build_fault_inputs(args, devices):
         validate_fault_plan(plan, devices)
     retry = None
     if plan is not None or args.request_deadline is not None:
-        retry = RetryPolicy(max_retries=args.retry_max,
-                            backoff_base=args.retry_backoff,
-                            deadline=args.request_deadline)
+        given = {"max_retries": args.retry_max,
+                 "backoff_base": args.retry_backoff}
+        retry = RetryPolicy(deadline=args.request_deadline,
+                            **{k: v for k, v in given.items() if v is not None})
     return plan, retry
 
 
-def _cmd_serve(args) -> int:
-    from repro.serving import ProfiledCostModel, make_policy, make_router, simulate
-    from repro.serving.report import serving_summary
+# The serve flags that only some front ends take, and those front ends:
+# "single" serves one --workload on a --devices pool, "mix" a --mix of
+# tenants on a pool, "groups" a tenant mix on --groups of replicas. These
+# flags default to None, so any value given on another front end is an
+# error rather than silently ignored.
+_SERVE_FLAGS = {
+    "workload": ("single",),
+    "fusion": ("single",),
+    "workloads": ("mix", "groups"),
+    "finetune_workloads": ("mix",),
+    "finetune_share": ("mix",),
+    "degrade_after": ("mix",),
+    "devices": ("single", "mix"),
+    "router": ("single", "mix"),
+    "request_deadline": ("single", "mix"),
+    "retry_max": ("single", "mix"),
+    "retry_backoff": ("single", "mix"),
+    "autoscale": ("groups",),
+    "autoscale_min": ("groups",),
+    "autoscale_max": ("groups",),
+    "hop_bytes": ("groups",),
+}
+_FRONT_ENDS = {"single": "single-workload", "mix": "--mix", "groups": "--groups"}
 
+
+def _check_serve_flags(args, front: str) -> None:
+    """Reject every front-end-specific flag ``front`` does not take."""
+    for dest, fronts in _SERVE_FLAGS.items():
+        if front in fronts or getattr(args, dest) is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        hint = ("; name the tenants with --workloads"
+                if fronts == ("single",) else "")
+        raise ValueError(
+            f"{flag} applies only to "
+            f"{' and '.join(_FRONT_ENDS[f] for f in fronts)} runs, not to "
+            f"{_FRONT_ENDS[front]} runs{hint}")
+    if args.autoscale is None and (args.autoscale_min is not None
+                                   or args.autoscale_max is not None):
+        raise ValueError("--autoscale-min/--autoscale-max need --autoscale")
+    if (args.finetune_share is not None and args.finetune_workloads is None
+            and args.mix != "finetune"):
+        raise ValueError("--finetune-share needs --finetune-workloads or "
+                         "--mix finetune")
+    if front == "groups" and args.mix == "finetune":
+        raise ValueError("--mix finetune adds fine-tuning jobs, which "
+                         "--groups runs do not take")
+
+
+def _cmd_serve(args) -> int:
+    """``mmbench serve``: one workload, a tenant mix, or a group fleet."""
     from repro.hw.device import get_device
+    from repro.serving import (ProfiledCostModel, degraded_mode_for,
+                               get_scenario, make_finetune_jobs, make_policy,
+                               make_router, make_tenants, parse_autoscale,
+                               parse_groups, simulate, simulate_fleet,
+                               simulate_mixed)
+    from repro.serving.report import serving_summary
     from repro.workloads.registry import get_workload
 
-    if args.fleet:
-        return _cmd_serve_fleet(args)
-    if args.mix is not None:
-        return _cmd_serve_mix(args)
-    args.workload = args.workload or "avmnist"
-
+    front = ("groups" if args.groups is not None
+             else "mix" if args.mix is not None else "single")
+    scenario = args.mix or "uniform"
     # Validate everything user-typed up front: typos get one clean line and
     # exit 2, while errors raised later inside the simulation stay loud.
     try:
-        if args.workloads is not None:
-            raise ValueError("--workloads only applies with --mix; for one "
-                             "workload use --workload")
-        if args.degrade_after is not None:
-            raise ValueError("--degrade-after applies to --mix runs "
-                             "(degraded modes are per-tenant)")
-        policies = {
-            name: make_policy(name, batch_size=args.batch_size,
-                              timeout=args.timeout, slo=args.slo,
-                              max_batch=args.max_batch)
-            for name in args.policy.split(",")
-        }
-        devices = _parse_devices(args.devices)
-        for device in devices:
-            get_device(device)
-        info = get_workload(args.workload)
-        if args.fusion is not None and args.fusion not in info.fusions:
-            raise KeyError(f"unknown fusion {args.fusion!r} for {args.workload}; "
-                           f"available: {sorted(info.fusions)}")
+        _check_serve_flags(args, front)
+
+        def make(name):
+            return make_policy(name, batch_size=args.batch_size,
+                               timeout=args.timeout, slo=args.slo,
+                               max_batch=args.max_batch)
+
+        policies = {make(name).name: name for name in args.policy.split(",")}
         if args.n_requests <= 0:
             raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
         if args.arrival_rate is not None and args.arrival_rate <= 0:
             raise ValueError("--arrival-rate must be positive")
         if args.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        fault_plan, retry = _build_fault_inputs(args, devices)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
-
-    _configure_store(args)
-    cost = ProfiledCostModel(args.workload, args.fusion, seed=args.seed,
-                             backend=args.backend)
-    # A fresh router per run: routers are stateful (round-robin rotation)
-    # and each policy must see identical starting conditions.
-    reports = {
-        policy.name: simulate(
-            cost, policy, devices=devices, n_requests=args.n_requests,
-            arrival_rate=args.arrival_rate, router=make_router(args.router),
-            seed=args.seed, faults=fault_plan, retry=retry,
-        )
-        for policy in policies.values()
-    }
-    print(f"workload={args.workload} fusion={args.fusion or 'default'} "
-          f"devices={','.join(devices)}")
-    print(serving_summary(reports, slo=args.slo))
-    _print_store_stats()
-    return 0
-
-
-def _cmd_serve_mix(args) -> int:
-    """The ``mmbench serve --mix`` path: a multi-tenant workload mix."""
-    from repro.serving import (
-        get_scenario,
-        make_finetune_jobs,
-        make_policy,
-        make_router,
-        make_tenants,
-        mixed_serving_summary,
-        simulate_mixed,
-    )
-
-    from repro.hw.device import get_device
-    from repro.workloads.registry import get_workload
-
-    try:
-        if args.workload is not None or args.fusion is not None:
-            raise ValueError("--workload/--fusion don't apply to --mix; "
-                             "name the tenants with --workloads instead")
-        get_scenario(args.mix)
-        policy_names = args.policy.split(",")
-
-        def policy_factory(name):
-            return lambda _workload: make_policy(
-                name, batch_size=args.batch_size, timeout=args.timeout,
-                slo=args.slo, max_batch=args.max_batch)
-
-        for name in policy_names:  # validate every policy name up front
-            policy_factory(name)("probe")
-        workloads = tuple((args.workloads or ",".join(list_workloads())).split(","))
-        if len(set(workloads)) != len(workloads):
-            raise ValueError(f"duplicate workloads in --workloads: "
-                             f"{','.join(workloads)}")
-        for workload in workloads:
-            get_workload(workload)
-        devices = _parse_devices(args.devices)
-        for device in devices:
-            get_device(device)
-        if args.n_requests <= 0:
-            raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        if args.arrival_rate is not None and args.arrival_rate <= 0:
-            raise ValueError("--arrival-rate must be positive")
-        if get_scenario(args.mix).needs_rate and args.arrival_rate is None:
-            raise ValueError(f"--mix {args.mix} needs --arrival-rate "
-                             "(its traffic shape is time-varying)")
         if args.slo <= 0:
             raise ValueError(f"--slo must be positive, got {args.slo}")
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        if not 0.0 < args.finetune_share < 1.0:
-            raise ValueError(f"--finetune-share must be in (0, 1), got "
-                             f"{args.finetune_share}")
+        if front == "single":
+            workloads = (args.workload or "avmnist",)
+            info = get_workload(workloads[0])
+            if args.fusion is not None and args.fusion not in info.fusions:
+                raise KeyError(f"unknown fusion {args.fusion!r} for "
+                               f"{workloads[0]}; available: {sorted(info.fusions)}")
+        else:
+            if get_scenario(scenario).needs_rate and args.arrival_rate is None:
+                raise ValueError(f"--mix {scenario} needs --arrival-rate "
+                                 "(its traffic shape is time-varying)")
+            workloads = tuple((args.workloads
+                               or ",".join(list_workloads())).split(","))
+            if len(set(workloads)) != len(workloads):
+                raise ValueError(f"duplicate workloads in --workloads: "
+                                 f"{','.join(workloads)}")
+            for workload in workloads:
+                get_workload(workload)
+        if front == "groups":
+            groups = parse_groups(args.groups)
+            devices = tuple(g.device for g in groups)
+        else:
+            devices = _parse_devices("2080ti,nano" if args.devices is None
+                                     else args.devices)
+        for device in devices:
+            get_device(device)
+        fault_plan, retry = _build_fault_inputs(args, devices)
         finetune_workloads = ()
         if args.mix == "finetune" or args.finetune_workloads is not None:
             # Background training jobs: the named workloads (default: the
             # first tenant) fine-tune behind the inference traffic.
+            finetune_share = (0.25 if args.finetune_share is None
+                              else args.finetune_share)
+            if not 0.0 < finetune_share < 1.0:
+                raise ValueError(f"--finetune-share must be in (0, 1), got "
+                                 f"{finetune_share}")
             finetune_workloads = tuple(
                 (args.finetune_workloads or workloads[0]).split(","))
             if len(set(finetune_workloads)) != len(finetune_workloads):
@@ -310,150 +307,81 @@ def _cmd_serve_mix(args) -> int:
                                  f"{','.join(finetune_workloads)}")
             for workload in finetune_workloads:
                 get_workload(workload)
-        fault_plan, retry = _build_fault_inputs(args, devices)
         if args.degrade_after is not None and args.degrade_after <= 0:
             raise ValueError(f"--degrade-after must be positive, "
                              f"got {args.degrade_after}")
-        # Fault runs degrade by default: sustained pressure past 4x the SLO
-        # flips multi-modal tenants to their shed-encoder serving mode.
+        # Fault runs on a --mix degrade by default: sustained pressure past
+        # 4x the SLO flips multi-modal tenants to their shed-encoder mode.
         degrade_after = args.degrade_after
-        if degrade_after is None and fault_plan is not None:
+        if degrade_after is None and fault_plan is not None and front == "mix":
             degrade_after = 4.0 * args.slo
+        if front == "groups":
+            autoscale = None
+            if args.autoscale is not None:
+                autoscale = parse_autoscale(
+                    args.autoscale,
+                    min_replicas=(1 if args.autoscale_min is None
+                                  else args.autoscale_min),
+                    max_replicas=args.autoscale_max)
+            if args.hop_bytes is not None and args.hop_bytes < 0:
+                raise ValueError(f"--hop-bytes must be non-negative, "
+                                 f"got {args.hop_bytes}")
+            from repro.lint import check, lint_fleet
+
+            check(lint_fleet(groups, autoscale=autoscale, faults=fault_plan,
+                             source="mmbench serve --groups"),
+                  what="fleet configuration")
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
         return 2
 
     _configure_store(args)
     finetune = make_finetune_jobs(
-        finetune_workloads, share=args.finetune_share,
+        finetune_workloads, share=finetune_share,
         seed=args.seed, backend=args.backend or "meta",
     ) if finetune_workloads else None
-    # Like the single-workload path, run every listed policy against the
-    # identical scenario stream (same seed) and report each; a fresh
-    # router and fresh per-tenant policy instances per run.
-    for name in policy_names:
-        tenants = make_tenants(workloads, policy_factory=policy_factory(name),
+    if front == "single":
+        cost = ProfiledCostModel(workloads[0], args.fusion, seed=args.seed,
+                                 backend=args.backend)
+
+    def run(name):
+        """One policy's run: a fresh router and fresh tenants each, since
+        routers and policies are stateful and every run must start alike."""
+        if front == "single":
+            return simulate(
+                cost, make(name), devices=devices, n_requests=args.n_requests,
+                arrival_rate=args.arrival_rate,
+                router=make_router(args.router or "earliest-finish"),
+                seed=args.seed, faults=fault_plan, retry=retry)
+        tenants = make_tenants(workloads, policy_factory=lambda _w: make(name),
                                slo=args.slo, seed=args.seed,
                                backend=args.backend)
+        if front == "groups":
+            return simulate_fleet(
+                tenants, groups, n_requests=args.n_requests,
+                arrival_rate=args.arrival_rate, scenario=scenario,
+                autoscale=autoscale, faults=fault_plan,
+                hop_bytes=args.hop_bytes or 0.0, seed=args.seed)
         if degrade_after is not None:
-            from repro.serving import degraded_mode_for
-
             for spec in tenants:
                 # Single-modality tenants have no encoder to shed.
                 if len(get_workload(spec.name).modalities) > 1:
                     spec.degraded = degraded_mode_for(
                         spec.name, enter_wait=degrade_after,
                         seed=args.seed, backend=args.backend or "meta")
-        report = simulate_mixed(
+        return simulate_mixed(
             tenants, devices=devices, n_requests=args.n_requests,
-            arrival_rate=args.arrival_rate, scenario=args.mix,
-            router=make_router(args.router), finetune=finetune, seed=args.seed,
-            faults=fault_plan, retry=retry,
-        )
-        print(f"mix={args.mix} policy={name} "
-              f"workloads={','.join(workloads)} devices={','.join(devices)}")
-        print(mixed_serving_summary(report))
-        print()
-    _print_store_stats()
-    return 0
-
-
-def _cmd_serve_fleet(args) -> int:
-    """The ``mmbench serve --fleet`` path: device groups + autoscaling."""
-    from repro.serving import (
-        fleet_summary,
-        get_scenario,
-        make_policy,
-        make_tenants,
-        parse_autoscale,
-        parse_groups,
-        simulate_fleet,
-    )
-    from repro.workloads.registry import get_workload
-
-    from repro.hw.device import get_device
-
-    scenario = args.mix or "uniform"
-    try:
-        if args.workload is not None or args.fusion is not None:
-            raise ValueError("--workload/--fusion don't apply to --fleet; "
-                             "name the tenants with --workloads instead")
-        if args.groups is None:
-            raise ValueError("--fleet needs --groups DEV:REPLICAS[:POOL],...")
-        if args.router not in ("earliest-finish", "eft"):
-            raise ValueError("--fleet routes per group with earliest-finish "
-                             f"placement; --router {args.router} is a "
-                             "per-slot router")
-        if args.finetune_workloads is not None:
-            raise ValueError("--finetune-workloads doesn't apply to --fleet")
-        if args.request_deadline is not None or args.degrade_after is not None:
-            raise ValueError("--request-deadline/--degrade-after don't apply "
-                             "to --fleet; fleet runs retry aborted requests "
-                             "with the default retry policy and no deadline")
-        get_scenario(scenario)
-        policy_names = args.policy.split(",")
-
-        def policy_factory(name):
-            return lambda _workload: make_policy(
-                name, batch_size=args.batch_size, timeout=args.timeout,
-                slo=args.slo, max_batch=args.max_batch)
-
-        for name in policy_names:  # validate every policy name up front
-            policy_factory(name)("probe")
-        workloads = tuple((args.workloads or ",".join(list_workloads())).split(","))
-        if len(set(workloads)) != len(workloads):
-            raise ValueError(f"duplicate workloads in --workloads: "
-                             f"{','.join(workloads)}")
-        for workload in workloads:
-            get_workload(workload)
-        groups = parse_groups(args.groups)
-        for group in groups:
-            get_device(group.device)
-        if args.n_requests <= 0:
-            raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        if args.arrival_rate is not None and args.arrival_rate <= 0:
-            raise ValueError("--arrival-rate must be positive")
-        if get_scenario(scenario).needs_rate and args.arrival_rate is None:
-            raise ValueError(f"--mix {scenario} needs --arrival-rate "
-                             "(its traffic shape is time-varying)")
-        if args.slo <= 0:
-            raise ValueError(f"--slo must be positive, got {args.slo}")
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        if args.hop_bytes < 0:
-            raise ValueError(f"--hop-bytes must be non-negative, "
-                             f"got {args.hop_bytes}")
-        autoscale = None
-        if args.autoscale is not None:
-            autoscale = parse_autoscale(args.autoscale,
-                                        min_replicas=args.autoscale_min,
-                                        max_replicas=args.autoscale_max)
-        # Fault events name groups; fleet runs retry with RetryPolicy().
-        plan = _build_fault_inputs(args, tuple(g.device for g in groups))[0]
-        from repro.lint import check, lint_fleet
-
-        check(lint_fleet(groups, autoscale=autoscale, faults=plan,
-                         source="mmbench serve --fleet"),
-              what="fleet configuration")
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
-
-    _configure_store(args)
-    for name in policy_names:
-        tenants = make_tenants(workloads, policy_factory=policy_factory(name),
-                               slo=args.slo, seed=args.seed,
-                               backend=args.backend)
-        report = simulate_fleet(
-            tenants, groups, n_requests=args.n_requests,
             arrival_rate=args.arrival_rate, scenario=scenario,
-            autoscale=autoscale, faults=plan, hop_bytes=args.hop_bytes,
-            seed=args.seed,
-        )
-        print(f"fleet mix={scenario} policy={name} "
-              f"workloads={','.join(workloads)} groups={args.groups}")
-        print(fleet_summary(report))
-        print()
+            router=make_router(args.router or "earliest-finish"),
+            finetune=finetune, seed=args.seed, faults=fault_plan, retry=retry)
+
+    reports = {label: run(name) for label, name in policies.items()}
+    print(f"workload={workloads[0]} fusion={args.fusion or 'default'}"
+          if front == "single" else
+          f"mix={scenario} workloads={','.join(workloads)}",
+          f"groups={args.groups}" if front == "groups"
+          else f"devices={','.join(devices)}")
+    print(serving_summary(reports, slo=args.slo))
     _print_store_stats()
     return 0
 
@@ -949,21 +877,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="open-loop serving simulation with dynamic batching")
-    # Default None so the --mix path can reject an explicit --workload
-    # instead of silently ignoring it; the single path falls back to avmnist.
-    serve.add_argument("--workload", default=None, choices=list_workloads())
+    # The front-end-specific flags (see _SERVE_FLAGS) default to None so a
+    # front end can reject them when given; their effective defaults are
+    # resolved in _cmd_serve.
+    serve.add_argument("--workload", default=None, choices=list_workloads(),
+                       help="the one workload to serve (default avmnist)")
     serve.add_argument("--fusion", default=None)
     serve.add_argument("--mix", default=None, metavar="SCENARIO",
                        help="serve a multi-tenant workload mix instead of one "
                             "workload: uniform, heavy-head, diurnal, bursty, "
-                            "finetune")
+                            "finetune (with --groups: the traffic shape, "
+                            "default uniform)")
     serve.add_argument("--workloads", default=None, metavar="W1,W2,...",
-                       help="tenants of the --mix run (default: all nine)")
+                       help="tenants of a --mix or --groups run (default: "
+                            "all nine)")
     serve.add_argument("--finetune-workloads", default=None, metavar="W1,W2,...",
                        help="background fine-tuning jobs sharing the devices "
                             "(default for --mix finetune: the first tenant)")
-    serve.add_argument("--finetune-share", type=float, default=0.25,
-                       help="aggregate device share the fine-tuning jobs hold")
+    serve.add_argument("--finetune-share", type=float, default=None,
+                       help="aggregate device share the fine-tuning jobs hold "
+                            "(default 0.25)")
     serve.add_argument("--arrival-rate", type=float, default=None, metavar="REQ_PER_S",
                        help="Poisson arrival rate (default: closed batch, all at t=0)")
     serve.add_argument("--n-requests", type=int, default=5_000)
@@ -977,19 +910,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="p99 latency SLO (seconds); drives the adaptive policy")
     serve.add_argument("--max-batch", type=int, default=512,
                        help="largest batch the adaptive policy may form")
-    serve.add_argument("--devices", default="2080ti,nano",
-                       help="comma-separated device models to route across")
-    serve.add_argument("--router", default="earliest-finish",
-                       choices=["earliest-finish", "round-robin"])
+    serve.add_argument("--devices", default=None,
+                       help="comma-separated device models to route across "
+                            "(default 2080ti,nano)")
+    serve.add_argument("--router", default=None,
+                       choices=["earliest-finish", "round-robin"],
+                       help="placement across the --devices pool (default "
+                            "earliest-finish; --groups runs always place "
+                            "earliest-finish per group)")
     serve.add_argument("--faults", default=None, metavar="SCENARIO|PLAN.json",
                        help="inject a fault plan: a named chaos scenario "
                             "(single-failure, rolling-restart, "
                             "thermal-brownout, flaky-device) or a plan JSON "
                             "file (see docs/serving.md)")
-    serve.add_argument("--retry-max", type=int, default=3,
-                       help="aborted-request retry budget before shedding")
-    serve.add_argument("--retry-backoff", type=float, default=2e-3,
-                       help="base retry backoff (seconds; doubles per attempt)")
+    serve.add_argument("--retry-max", type=int, default=None,
+                       help="aborted-request retry budget before shedding "
+                            "(default 3)")
+    serve.add_argument("--retry-backoff", type=float, default=None,
+                       help="base retry backoff (seconds; doubles per "
+                            "attempt; default 0.002)")
     serve.add_argument("--request-deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="shed any request in the system longer than this "
@@ -999,31 +938,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="--mix only: tenants shed their costliest modality "
                             "encoder (degraded mode) once their oldest queued "
                             "request waits this long")
-    serve.add_argument("--fleet", action="store_true",
-                       help="fleet-scale simulator: homogeneous device groups "
-                            "with vectorized event epochs (needs --groups)")
     serve.add_argument("--groups", default=None,
                        metavar="DEV:REPLICAS[:POOL],...",
-                       help="--fleet device groups, e.g. "
-                            "2080ti:64,orin:32,nano:16 (POOL = autoscale "
-                            "ceiling, default REPLICAS)")
+                       help="serve the tenant mix on device groups instead of "
+                            "a --devices pool, e.g. 2080ti:64,orin:32,nano:16 "
+                            "(POOL = autoscale ceiling, default REPLICAS)")
     serve.add_argument("--autoscale", default=None,
                        metavar="METRIC:THRESHOLD[:INTERVAL[:COOLDOWN]]",
-                       help="--fleet reactive autoscaling, e.g. queue:64 or "
+                       help="--groups reactive autoscaling, e.g. queue:64 or "
                             "p99:0.1:0.05:0.25 (metric: queue depth or "
                             "windowed p99 latency)")
-    serve.add_argument("--autoscale-min", type=int, default=1,
+    serve.add_argument("--autoscale-min", type=int, default=None,
                        metavar="REPLICAS",
                        help="per-group autoscale floor (default 1)")
     serve.add_argument("--autoscale-max", type=int, default=None,
                        metavar="REPLICAS",
                        help="per-group autoscale ceiling (default: the "
                             "group's pool)")
-    serve.add_argument("--hop-bytes", type=float, default=0.0,
+    serve.add_argument("--hop-bytes", type=float, default=None,
                        metavar="BYTES",
-                       help="--fleet per-request payload priced as an h2d "
+                       help="--groups per-request payload priced as an h2d "
                             "transfer whenever a tenant's batch moves to a "
-                            "different group")
+                            "different group (default 0)")
     serve.add_argument("--seed", type=int, default=0)
     _add_trace_options(serve)
     serve.set_defaults(fn=_cmd_serve)

@@ -188,9 +188,10 @@ class BenchmarkSuite:
                     autoscale=None, faults=None, hop_bytes: float = 0.0,
                     seed: int = 0, backend: str = "meta"):
         """Serve a tenant mix on a fleet of device groups; returns a
-        :class:`~repro.serving.fleet.FleetReport`.
+        :class:`~repro.serving.simulator.ServingReport` without a
+        per-request view (``requests`` is ``None``).
 
-        The programmatic twin of ``mmbench serve --fleet``: ``groups`` is
+        The programmatic twin of ``mmbench serve --groups``: ``groups`` is
         either a ``"dev:replicas[:pool],..."`` spec string or a sequence
         of :class:`~repro.serving.fleet.DeviceGroup`; ``autoscale`` is an
         :class:`~repro.serving.fleet.AutoscalePolicy` (or a CLI-style
@@ -260,9 +261,11 @@ class BenchmarkSuite:
         The programmatic twin of ``mmbench lint``: ``artifact`` can be a
         path to an execution-graph or fault-plan JSON, a workload name, a
         ``Trace``/``TraceColumns``/``StoredTrace``, a ``StreamSchedule``,
-        a ``ServingReport``, a ``FaultPlan``, a tenant list or an
-        op-mapping registry — the rule set is picked by type. Nothing is
-        executed; every rule is array math over the artifact.
+        a ``ServingReport`` of ``simulate``/``simulate_mixed`` (a
+        ``simulate_fleet`` report has no per-request timeline and raises
+        ``ValueError``), a ``FaultPlan``, a tenant list or an op-mapping
+        registry — the rule set is picked by type. Nothing is executed;
+        every rule is array math over the artifact.
         """
         from repro.lint import lint_artifact, lint_trace
 

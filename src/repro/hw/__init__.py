@@ -30,7 +30,6 @@ from repro.hw.memory import (
     memory_breakdown_columns,
     thrash_factor,
 )
-from repro.hw.reference import ScalarExecutionEngine, ScalarExecutionReport
 from repro.hw.stalls import STALL_REASONS, aggregate_stalls, stall_breakdown
 from repro.hw.streams import (
     StreamLoad,
@@ -58,7 +57,6 @@ __all__ = [
     "KernelCounters", "aggregate_counters", "derive_counters",
     "DEVICES", "DeviceSpec", "JETSON_NANO", "JETSON_ORIN", "RTX_2080TI", "get_device",
     "ExecutionEngine", "ExecutionReport", "KERNEL_SIZE_BINS", "KernelExecution",
-    "ScalarExecutionEngine", "ScalarExecutionReport",
     "LatencyBreakdown", "dram_traffic", "kernel_latency", "machine_fill",
     "MemoryBreakdown", "capacity_pressure", "memory_breakdown",
     "memory_breakdown_columns", "thrash_factor",

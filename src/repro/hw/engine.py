@@ -18,8 +18,8 @@ stalls, the kernel-size histogram) are ``np.bincount`` group-bys over the
 integer code columns. Per-kernel :class:`KernelExecution` records remain
 available for API compatibility but are materialized lazily, only when a
 consumer indexes into ``report.kernels``. The original one-event-at-a-time
-implementation is kept in :mod:`repro.hw.reference` and pinned to this one
-by a golden-equivalence test suite.
+implementation is kept as a test oracle (``tests/hw/scalar_reference.py``)
+and pinned to this one by a golden-equivalence test suite.
 
 :meth:`ExecutionEngine.run_sweep` prices one trace on *many* devices in a
 single broadcasted pass — the device-model parameters become ``(D, 1)``

@@ -84,7 +84,17 @@ def lint_schedule(schedule, source: str = "schedule", **options) -> LintReport:
 
 
 def lint_serving_report(report, source: str = "serving", **options) -> LintReport:
-    """Timeline replay rules (MMB304/305) over a ``ServingReport``."""
+    """Timeline replay rules (MMB304/305) over a ``ServingReport``.
+
+    The rules replay the per-request view, which only ``simulate`` and
+    ``simulate_mixed`` record; a ``simulate_fleet`` report raises
+    ``ValueError``.
+    """
+    if report.requests is None:
+        raise ValueError(
+            "lint_serving_report needs a simulate/simulate_mixed report: "
+            "this one has no per-request timeline (simulate_fleet records "
+            "none)")
     return run_rules("serving", report, _ctx(source, **options))
 
 
@@ -176,7 +186,7 @@ def lint_artifact(obj, source: str | None = None, **options) -> LintReport:
     name = type(obj).__name__
     if hasattr(obj, "streams") and hasattr(obj, "makespan"):
         return lint_schedule(obj, source=source or name, **options)
-    if hasattr(obj, "device_stats") and hasattr(obj, "requests"):
+    if hasattr(obj, "group_stats") and hasattr(obj, "requests"):
         return lint_serving_report(obj, source=source or name, **options)
     if hasattr(obj, "events") and hasattr(obj, "empty"):
         return lint_fault_plan(obj, source=source or name, **options)

@@ -16,7 +16,7 @@ with a discrete-event simulator driven by memoized profiler cost models:
   thermal throttling, stalls), retry/shed accounting, graceful
   degradation, and the named chaos scenarios
 * :mod:`repro.serving.simulator` — single- and multi-tenant front ends
-  over a device pool, and their report
+  over a device pool, and the one report every front end returns
 * :mod:`repro.serving.fleet` — the serving engine every front end runs:
   labelled device groups, vectorized epochs, faults, cross-group hop
   costs, reactive autoscaling
@@ -55,7 +55,6 @@ from repro.serving.fleet import (
     DeviceGroup,
     FleetConfig,
     FleetConfigError,
-    FleetReport,
     GroupStats,
     ScalingEvent,
     parse_autoscale,
@@ -80,13 +79,11 @@ from repro.serving.policies import (
     make_policy,
 )
 from repro.serving.report import (
-    fleet_summary,
-    format_device_breakdown,
     format_fault_stats,
     format_finetune_breakdown,
     format_policy_comparison,
     format_tenant_breakdown,
-    mixed_serving_summary,
+    report_summary,
     serving_summary,
 )
 from repro.serving.request import (
@@ -114,7 +111,6 @@ from repro.serving.scenarios import (
     scenario_requests,
 )
 from repro.serving.simulator import (
-    DeviceStats,
     ServingReport,
     TenantSpec,
     TenantStats,
@@ -132,21 +128,21 @@ __all__ = [
     "FaultStats", "RetryPolicy", "TenantFaultStats", "ThermalThrottle",
     "TransientStall", "chaos_plan", "degraded_mode_for", "load_fault_plan",
     "AutoscalePolicy", "DeviceGroup", "FleetConfig", "FleetConfigError",
-    "FleetReport", "GroupStats", "ScalingEvent", "parse_autoscale",
-    "parse_groups", "simulate_fleet",
+    "GroupStats", "ScalingEvent", "parse_autoscale", "parse_groups",
+    "simulate_fleet",
     "FinetuneJob", "FinetuneStats", "TrainingCostModel", "finetune_progress",
     "inference_slowdown", "make_finetune_jobs", "total_background_share",
     "POLICY_NAMES", "AdaptiveSLOPolicy", "BatchingPolicy", "FixedBatchPolicy",
     "TimeoutBatchPolicy", "make_policy",
-    "fleet_summary", "format_device_breakdown", "format_fault_stats",
-    "format_finetune_breakdown", "format_policy_comparison",
-    "format_tenant_breakdown", "mixed_serving_summary", "serving_summary",
+    "format_fault_stats", "format_finetune_breakdown",
+    "format_policy_comparison", "format_tenant_breakdown", "report_summary",
+    "serving_summary",
     "Request", "RequestColumns", "closed_arrivals", "make_mixed_requests",
     "make_requests", "poisson_arrivals", "sort_request_columns",
     "EarliestFinishRouter", "RoundRobinRouter", "Router",
     "make_router",
     "SCENARIO_NAMES", "SCENARIOS", "Scenario", "get_scenario", "make_tenants",
     "scenario_columns", "scenario_requests",
-    "DeviceStats", "ServingReport", "TenantSpec", "TenantStats",
+    "ServingReport", "TenantSpec", "TenantStats",
     "simulate", "simulate_mixed", "slot_labels", "validate_fault_plan",
 ]

@@ -61,26 +61,29 @@ per-event loop as the differential oracle for all of this.
 from __future__ import annotations
 
 import bisect
+import gc
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from repro.hw.transfer import h2d_time
 from repro.serving.faults import (DeviceFaultStats, FaultPlan, FaultStats,
                                   RetryPolicy, TenantFaultStats)
+from repro.serving.request import Request
 
 if TYPE_CHECKING:
-    from repro.serving.simulator import TenantSpec, TenantStats
+    from repro.serving.simulator import (ServingReport, TenantSpec,
+                                         TenantStats)
 
 __all__ = [
     "AutoscalePolicy",
     "DeviceGroup",
     "FleetConfig",
     "FleetConfigError",
-    "FleetReport",
     "GroupStats",
     "ScalingEvent",
     "parse_autoscale",
@@ -192,9 +195,11 @@ class ScalingEvent:
 
 @dataclass(frozen=True)
 class GroupStats:
-    """Per-group accounting of one fleet simulation."""
+    """Per-group accounting of one simulation; a pool slot is a
+    single-replica group."""
 
-    group: str  # group label (its device model name)
+    group: str  # group label: the device name, or a slot label like "2080ti#1"
+    device: str  # device model the group's replicas run
     replicas: int  # active replicas at the end of the run
     peak_replicas: int
     mean_replicas: float  # time-weighted mean active replicas (occupancy)
@@ -205,45 +210,9 @@ class GroupStats:
     mean_batch: float
     hop_batches: int  # batches that paid a cross-group transfer
     hop_time: float  # total transfer seconds added to those batches
-
-
-@dataclass(frozen=True)
-class FleetReport:
-    """Everything one fleet simulation produced."""
-
-    policy: str
-    router: str
-    n_requests: int
-    arrival_rate: float | None
-    makespan: float
-    throughput: float
-    mean_latency: float
-    p50_latency: float
-    p95_latency: float
-    p99_latency: float
-    mean_queue_time: float
-    mean_formation_wait: float
-    mean_service_time: float
-    group_stats: dict[str, GroupStats]
-    tenant_stats: dict[str, TenantStats]
-    scaling_events: tuple[ScalingEvent, ...] = ()
-    latencies: np.ndarray = field(default_factory=lambda: np.empty(0),
-                                  repr=False)  # completed requests only
-    # What the fault plan did to the run; None when no plan was given.
-    fault_stats: FaultStats | None = None
-
-    def slo_attainment(self, slo: float) -> float:
-        """Fraction of issued requests whose end-to-end latency met ``slo``
-        (shed requests count as misses)."""
-        if not self.n_requests:
-            return 1.0
-        return int((self.latencies <= slo).sum()) / self.n_requests
-
-    @property
-    def completed(self) -> int:
-        """Requests that actually finished (``n_requests`` minus sheds)."""
-        shed = self.fault_stats.shed if self.fault_stats is not None else 0
-        return self.n_requests - shed
+    # batch size -> dispatch count; empty when the run recorded no
+    # per-request view (simulate_fleet)
+    batch_histogram: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -1340,8 +1309,10 @@ def _group_stats(engine: _FleetEngine) -> dict[str, GroupStats]:
         mean_rep = (engine.occ_int[g] / makespan if makespan > 0
                     else float(group.replicas))
         denom = mean_rep * makespan
-        out[group.device] = GroupStats(
-            group=group.device,
+        label = engine.labels[g]
+        out[label] = GroupStats(
+            group=label,
+            device=group.device,
             replicas=engine.act[g],
             peak_replicas=engine.peak[g],
             mean_replicas=mean_rep,
@@ -1353,6 +1324,8 @@ def _group_stats(engine: _FleetEngine) -> dict[str, GroupStats]:
                         if engine.batches[g] else 0.0),
             hop_batches=engine.hop_batches[g],
             hop_time=engine.hop_time[g],
+            batch_histogram=(dict(sorted(engine.hist[g].items()))
+                             if engine.record else {}),
         )
     return out
 
@@ -1431,6 +1404,105 @@ def _tenant_stats(engine: _FleetEngine) -> dict[str, TenantStats]:
     return out
 
 
+def _runs(values: np.ndarray) -> Iterator[float]:
+    """Iterate ``values`` as floats, one float object per run of equal
+    values: a batch's members share their dispatch and finish instants,
+    and most formation waits are zero."""
+    if not values.size:
+        return iter(())
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    lengths = np.diff(np.append(starts, values.size))
+    return chain.from_iterable(map(repeat, values[starts].tolist(),
+                                   lengths.tolist()))
+
+
+def _requests(engine: _FleetEngine, columns,
+              source: list[Request] | None) -> list[Request]:
+    """One :class:`Request` per stream entry, timings filled in.
+
+    ``source`` is the caller's stream in stream order, if it gave one;
+    the copies share its index and arrival objects. Each tenant's
+    recorded columns are released once its requests are filled in.
+    """
+    labels = [*engine.labels, ""]
+    # Requests hold no reference cycles, so a collection triggered by
+    # building millions of them could free nothing; pause the collector.
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        out = (columns.to_requests() if source is None else
+               [Request(r.index, r.arrival, r.tenant) for r in source])
+    finally:
+        if paused:
+            gc.enable()
+    for t in range(len(columns.tenants)):
+        positions = engine.order[engine.bounds[t]:engine.bounds[t + 1]].tolist()
+        for p, dispatch, finish, group, size, formation, degraded in zip(
+                positions, _runs(engine.disp_t[t]), _runs(engine.fin_t[t]),
+                engine.grp_t[t].tolist(), engine.bs_t[t].tolist(),
+                _runs(engine.form_t[t]), engine.deg_t[t].tolist()):
+            req = out[p]
+            req.dispatch, req.finish, req.device = dispatch, finish, labels[group]
+            req.batch_size, req.formation_wait = size, formation
+            req.degraded = degraded
+        for i in np.flatnonzero(np.isnan(engine.lat_t[t])).tolist():
+            req = out[positions[i]]  # shed: no timing
+            req.dispatch = req.finish = math.nan
+            req.device, req.batch_size, req.formation_wait = "", 0, 0.0
+            req.shed, req.degraded = True, False
+        for column in (engine.disp_t, engine.fin_t, engine.form_t,
+                       engine.grp_t, engine.bs_t, engine.deg_t, engine.lat_t):
+            column[t] = None
+    for (t, i), count in engine.retries.items():
+        out[engine.order[engine.bounds[t] + i]].retries = count
+    return out
+
+
+def _report(engine: _FleetEngine, policy: str, router: str,
+            arrival_rate: float | None, columns, *,
+            source: list[Request] | None = None, tenants: bool = True,
+            finetune: Sequence | None = None,
+            slowdown: float = 1.0) -> ServingReport:
+    """Collapse a finished engine into the report every front end returns.
+
+    Latency statistics cover completed requests; ``n_requests`` stays the
+    issued total. A recording engine also yields the per-request view,
+    built last: building it releases the engine's per-tenant columns.
+    """
+    from repro.serving.simulator import ServingReport
+
+    summary, latencies = _summary(engine)
+    fault_stats = (engine.fault_stats() if engine.checked or engine.any_mode
+                   else None)
+    finetune_stats = {}
+    if finetune:
+        from repro.serving.finetune import finetune_progress
+
+        down_windows = None
+        if fault_stats is not None:
+            down_windows = {label: stats.down_windows
+                            for label, stats in fault_stats.devices.items()
+                            if stats.down_windows}
+        finetune_stats = finetune_progress(
+            finetune, dict(zip(engine.labels, engine.gdev)), engine.makespan,
+            down_windows=down_windows)
+    return ServingReport(
+        policy=policy,
+        router=router,
+        arrival_rate=arrival_rate,
+        **summary,
+        group_stats=_group_stats(engine),
+        tenant_stats=_tenant_stats(engine) if tenants else {},
+        latencies=latencies,
+        requests=(_requests(engine, columns, source) if engine.record
+                  else None),
+        scaling_events=tuple(engine.scaling),
+        finetune_stats=finetune_stats,
+        inference_slowdown=slowdown,
+        fault_stats=fault_stats,
+    )
+
+
 def simulate_fleet(
     tenants: Sequence[TenantSpec],
     groups: Sequence[DeviceGroup] | str,
@@ -1444,7 +1516,7 @@ def simulate_fleet(
     probe_cap: int = 128,
     seed: int = 0,
     lint: bool = True,
-) -> FleetReport:
+) -> ServingReport:
     """Serve a tenant mix on a fleet of homogeneous device groups.
 
     Parameters mirror :func:`~repro.serving.simulator.simulate_mixed`
@@ -1526,15 +1598,5 @@ def simulate_fleet(
     engine = _FleetEngine(tenants, groups, columns, autoscale, faults,
                           hop_bytes, probe_cap)
     engine.run()
-    summary, latencies = _summary(engine)
-    return FleetReport(
-        policy=f"mixed({len(tenants)} tenants)",
-        router="earliest-finish",
-        arrival_rate=arrival_rate,
-        **summary,
-        group_stats=_group_stats(engine),
-        tenant_stats=_tenant_stats(engine),
-        scaling_events=tuple(engine.scaling),
-        latencies=latencies,
-        fault_stats=engine.fault_stats() if faults is not None else None,
-    )
+    return _report(engine, f"mixed({len(tenants)} tenants)", "earliest-finish",
+                   arrival_rate, columns)

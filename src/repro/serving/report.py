@@ -6,16 +6,15 @@ from repro.profiling.report import format_seconds, format_table
 from repro.serving.simulator import ServingReport
 
 
-def _batch_sizes_summary(report: ServingReport) -> str:
-    parts = []
-    for slot, sizes in sorted(report.batch_sizes_used().items()):
-        if not sizes:
-            parts.append(f"{slot}: -")
-        elif len(sizes) <= 4:
-            parts.append(f"{slot}: {','.join(map(str, sizes))}")
-        else:
-            parts.append(f"{slot}: {sizes[0]}..{sizes[-1]} ({len(sizes)} sizes)")
-    return "; ".join(parts)
+def _sizes(stats) -> str:
+    """One group's dispatched batch sizes, or its mean batch when the run
+    recorded no histogram."""
+    sizes = sorted(stats.batch_histogram)
+    if not sizes:
+        return f"mean {stats.mean_batch:.1f}" if stats.batches else "-"
+    if len(sizes) <= 4:
+        return ",".join(map(str, sizes))
+    return f"{sizes[0]}..{sizes[-1]} ({len(sizes)} sizes)"
 
 
 def format_policy_comparison(
@@ -38,7 +37,8 @@ def format_policy_comparison(
         ]
         if slo is not None:
             row.append(f"{report.slo_attainment(slo):.1%}")
-        row.append(_batch_sizes_summary(report))
+        row.append("; ".join(f"{group}: {_sizes(stats)}" for group, stats
+                             in sorted(report.group_stats.items())))
         rows.append(row)
     return format_table(headers, rows, title="Serving policies: throughput vs tail latency")
 
@@ -82,12 +82,8 @@ def format_finetune_breakdown(report: ServingReport) -> str:
         rows, title="Background fine-tuning jobs (stream shares)")
 
 
-def format_fault_stats(report) -> str:
-    """Fault-injection breakdown: per-device windows, retries, degradation.
-
-    ``report`` is a :class:`ServingReport` or a
-    :class:`~repro.serving.fleet.FleetReport` (both carry ``fault_stats``).
-    """
+def format_fault_stats(report: ServingReport) -> str:
+    """Fault-injection breakdown: per-device windows, retries, degradation."""
     stats = report.fault_stats
     if stats is None:
         return "no fault plan was active"
@@ -143,20 +139,51 @@ def format_fault_stats(report) -> str:
     return "\n".join(lines)
 
 
-def mixed_serving_summary(report: ServingReport) -> str:
-    """Full ``mmbench serve --mix`` report: tenant + device breakdowns."""
+def _group_breakdown(report: ServingReport) -> str:
+    """One row per device group (or pool slot): replicas, load, hops."""
+    rows = []
+    for label, stats in report.group_stats.items():
+        hop = (f"{stats.hop_batches} ({format_seconds(stats.hop_time)})"
+               if stats.hop_batches else "-")
+        rows.append([
+            label,
+            stats.device,
+            f"{stats.replicas}/{stats.peak_replicas}",
+            f"{stats.mean_replicas:.1f}",
+            stats.batches,
+            stats.requests,
+            f"{stats.mean_batch:.1f}",
+            f"{stats.utilization:.0%}",
+            hop,
+            _sizes(stats),
+        ])
+    return format_table(
+        ["group", "device", "replicas (end/peak)", "mean replicas", "batches",
+         "requests", "mean batch", "utilization", "hops", "batch sizes"],
+        rows, title="Per-group breakdown")
+
+
+def report_summary(report: ServingReport) -> str:
+    """Render any serving report: header, tenants, groups, then the
+    fine-tune, autoscaling and fault blocks that apply."""
     rate = ("closed batch (all at t=0)" if report.arrival_rate is None
-            else f"~{report.arrival_rate:g} req/s aggregate")
+            else f"~{report.arrival_rate:g} req/s")
+    tenants = (f" over {len(report.tenant_stats)} tenants"
+               if report.tenant_stats else "")
+    peak = sum(s.peak_replicas for s in report.group_stats.values())
     lines = [
-        f"mixed serving: {report.n_requests} requests over "
-        f"{len(report.tenant_stats)} tenants, {rate}, router={report.router}",
+        f"serving: {report.n_requests:,} requests{tenants}, {rate}, "
+        f"{len(report.group_stats)} groups / {peak} replicas (peak), "
+        f"router={report.router}",
         f"makespan {format_seconds(report.makespan)}, "
-        f"{report.throughput:,.0f} req/s served",
-        "",
-        format_tenant_breakdown(report),
-        "",
-        format_device_breakdown({report.policy: report}),
+        f"{report.throughput:,.0f} req/s served; "
+        f"{report.completed:,} completed + "
+        f"{report.n_requests - report.completed:,} shed = "
+        f"{report.n_requests:,} issued (conserved)",
     ]
+    if report.tenant_stats:
+        lines += ["", format_tenant_breakdown(report)]
+    lines += ["", _group_breakdown(report)]
     if report.finetune_stats:
         lines += [
             "",
@@ -173,52 +200,6 @@ def mixed_serving_summary(report: ServingReport) -> str:
                     f"{s.lost_steps:,.0f} steps lost"
                     for s in faulted),
             ]
-    if report.fault_stats is not None:
-        lines += ["", format_fault_stats(report)]
-    return "\n".join(lines)
-
-
-def fleet_summary(report) -> str:
-    """Full ``mmbench serve --fleet`` report: tenants, groups, scaling.
-
-    ``report`` is a :class:`~repro.serving.fleet.FleetReport`; the
-    tenant table and fault breakdown are shared with the mixed report
-    (both expose ``tenant_stats`` and ``fault_stats``).
-    """
-    rate = ("closed batch (all at t=0)" if report.arrival_rate is None
-            else f"~{report.arrival_rate:g} req/s aggregate")
-    total_replicas = sum(s.peak_replicas for s in report.group_stats.values())
-    lines = [
-        f"fleet serving: {report.n_requests:,} requests over "
-        f"{len(report.tenant_stats)} tenants, {rate}, "
-        f"{len(report.group_stats)} groups / {total_replicas} replicas (peak)",
-        f"makespan {format_seconds(report.makespan)}, "
-        f"{report.throughput:,.0f} req/s served; "
-        f"{report.completed:,} completed + "
-        f"{report.n_requests - report.completed:,} shed = "
-        f"{report.n_requests:,} issued (conserved)",
-        "",
-        format_tenant_breakdown(report),
-        "",
-    ]
-    rows = []
-    for name, stats in report.group_stats.items():
-        hop = (f"{stats.hop_batches} ({format_seconds(stats.hop_time)})"
-               if stats.hop_batches else "-")
-        rows.append([
-            name,
-            f"{stats.replicas}/{stats.peak_replicas}",
-            f"{stats.mean_replicas:.1f}",
-            stats.batches,
-            stats.requests,
-            f"{stats.mean_batch:.1f}",
-            f"{stats.utilization:.0%}",
-            hop,
-        ])
-    lines.append(format_table(
-        ["group", "replicas (end/peak)", "mean", "batches", "requests",
-         "mean batch", "utilization", "hops"],
-        rows, title="Per-group fleet breakdown"))
     if report.scaling_events:
         out = sum(1 for e in report.scaling_events if e.after > e.before)
         lines += [
@@ -234,34 +215,15 @@ def fleet_summary(report) -> str:
     return "\n".join(lines)
 
 
-def format_device_breakdown(reports: dict[str, ServingReport]) -> str:
-    """Per-(policy, device slot) routing and utilization breakdown."""
-    rows = []
-    for label, report in reports.items():
-        for slot, stats in sorted(report.device_stats.items()):
-            rows.append([
-                label, slot, stats.batches, stats.requests,
-                f"{stats.mean_batch:.1f}", f"{stats.utilization:.0%}",
-            ])
-    return format_table(
-        ["policy", "device", "batches", "requests", "mean batch", "utilization"],
-        rows, title="Per-device routing breakdown")
+# Earlier names of report_summary, kept for callers that still use them.
+mixed_serving_summary = fleet_summary = report_summary
 
 
-def serving_summary(reports: dict[str, ServingReport], slo: float | None = None) -> str:
-    """Full ``mmbench serve`` report: comparison table + device breakdown."""
-    first = next(iter(reports.values()))
-    rate = ("closed batch (all at t=0)" if first.arrival_rate is None
-            else f"Poisson {first.arrival_rate:g} req/s")
-    lines = [
-        f"open-loop serving: {first.n_requests} requests, {rate}, "
-        f"router={first.router}",
-        "",
-        format_policy_comparison(reports, slo=slo),
-        "",
-        format_device_breakdown(reports),
-    ]
+def serving_summary(reports: dict[str, ServingReport],
+                    slo: float | None = None) -> str:
+    """Full ``mmbench serve`` report: the policy comparison table, then
+    each policy's :func:`report_summary`."""
+    lines = [format_policy_comparison(reports, slo=slo)]
     for label, report in reports.items():
-        if report.fault_stats is not None:
-            lines += ["", f"[{label}] " + format_fault_stats(report)]
+        lines += ["", f"policy={label}", report_summary(report)]
     return "\n".join(lines)

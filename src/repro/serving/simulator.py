@@ -21,8 +21,10 @@ latency and SLO attainment down per tenant (:class:`TenantStats`).
 
 Both run the fleet engine (:mod:`repro.serving.fleet`): the pool becomes
 one single-replica group per device slot, labelled as
-:func:`slot_labels` names it, and the engine's per-request columns come
-back as :class:`~repro.serving.request.Request` objects. At each event
+:func:`slot_labels` names it. They return the same
+:class:`ServingReport` as :func:`~repro.serving.fleet.simulate_fleet`,
+plus its per-request view: the engine's recorded columns come back as
+:class:`~repro.serving.request.Request` objects. At each event
 the engine absorbs due arrivals into the per-tenant FIFO queues, then
 repeatedly offers work to idle slots — tenants in oldest-head-of-queue-
 first order, slots in router order; a policy either dispatches a batch
@@ -32,34 +34,19 @@ policy wake-up is scheduled.
 
 from __future__ import annotations
 
-import gc
-import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.serving.costmodel import CallableCostModel
 from repro.serving.faults import DegradedMode, FaultPlan, FaultStats, RetryPolicy
+from repro.serving.fleet import (DeviceGroup, GroupStats, ScalingEvent,
+                                 _FleetEngine, _report)
 from repro.serving.policies import BatchingPolicy
 from repro.serving.request import (Request, RequestColumns, closed_arrivals,
                                    poisson_arrivals)
 from repro.serving.router import EarliestFinishRouter, Router
-
-
-@dataclass(frozen=True)
-class DeviceStats:
-    """Per-device accounting of one simulation."""
-
-    slot: str  # unique slot label, e.g. "2080ti" or "2080ti#1"
-    device: str  # device model name the slot runs
-    batches: int
-    requests: int
-    busy_time: float
-    utilization: float  # busy time / makespan
-    mean_batch: float
-    batch_histogram: dict[int, int]  # batch size -> dispatch count
 
 
 @dataclass(frozen=True)
@@ -80,7 +67,15 @@ class TenantStats:
 
 @dataclass(frozen=True)
 class ServingReport:
-    """Everything one open-loop serving simulation produced."""
+    """Everything one serving simulation produced, whichever front end ran.
+
+    ``group_stats`` is keyed by group label: the device name of a
+    :func:`~repro.serving.fleet.simulate_fleet` group, or the slot label
+    (``2080ti#0``, ``orin``) of a pool run. ``requests`` is the
+    per-request view; only :func:`simulate` and :func:`simulate_mixed`
+    record one, :func:`~repro.serving.fleet.simulate_fleet` leaves it
+    ``None``.
+    """
 
     policy: str
     router: str
@@ -95,9 +90,12 @@ class ServingReport:
     mean_queue_time: float
     mean_formation_wait: float
     mean_service_time: float
-    device_stats: dict[str, DeviceStats]
-    requests: list[Request] = field(repr=False)
+    group_stats: dict[str, GroupStats]
     tenant_stats: dict[str, TenantStats] = field(default_factory=dict)
+    latencies: np.ndarray = field(default_factory=lambda: np.empty(0),
+                                  repr=False)  # completed requests only
+    requests: list[Request] | None = field(default=None, repr=False)
+    scaling_events: tuple[ScalingEvent, ...] = ()
     # Background fine-tuning jobs that shared the devices during the run
     # (see repro.serving.finetune); empty for pure-inference simulations.
     finetune_stats: dict = field(default_factory=dict)
@@ -107,15 +105,14 @@ class ServingReport:
     fault_stats: FaultStats | None = None
 
     def slo_attainment(self, slo: float) -> float:
-        """Fraction of completed requests whose end-to-end latency met ``slo``.
+        """Fraction of issued requests whose end-to-end latency met ``slo``.
 
         Shed requests never complete and count as misses; an empty
         simulation misses nothing (attainment is vacuously 1).
         """
-        if not self.requests:
+        if not self.n_requests:
             return 1.0
-        met = sum(1 for r in self.requests if not r.shed and r.latency <= slo)
-        return met / len(self.requests)
+        return int((self.latencies <= slo).sum()) / self.n_requests
 
     @property
     def completed(self) -> int:
@@ -123,16 +120,23 @@ class ServingReport:
         shed = self.fault_stats.shed if self.fault_stats is not None else 0
         return self.n_requests - shed
 
+    @property
+    def device_stats(self) -> dict[str, GroupStats]:
+        """Read-only alias of ``group_stats``."""
+        return self.group_stats
+
     def batch_sizes_used(self) -> dict[str, list[int]]:
-        """Distinct dispatched batch sizes per device slot (sorted)."""
-        return {slot: sorted(s.batch_histogram) for slot, s in self.device_stats.items()}
+        """Distinct dispatched batch sizes per group (sorted; empty when
+        the run recorded no histogram)."""
+        return {label: sorted(s.batch_histogram)
+                for label, s in self.group_stats.items()}
 
     @property
     def total_utilization(self) -> float:
-        """Mean per-slot utilization: busy time / makespan, averaged over slots."""
-        busy = sum(s.busy_time for s in self.device_stats.values())
-        n = len(self.device_stats)
-        return busy / (n * self.makespan) if self.makespan > 0 else 0.0
+        """Busy time over replica time, pooled across groups."""
+        busy = sum(s.busy_time for s in self.group_stats.values())
+        replicas = sum(s.mean_replicas for s in self.group_stats.values())
+        return busy / (replicas * self.makespan) if self.makespan > 0 else 0.0
 
 
 @dataclass
@@ -209,8 +213,6 @@ def _serve(
     slowdown: float = 1.0,
 ):
     """Run the engine on one single-replica group per slot of ``devices``."""
-    from repro.serving.fleet import DeviceGroup, _FleetEngine
-
     router = router or EarliestFinishRouter()
     earliest = type(router) is EarliestFinishRouter
     engine = _FleetEngine(
@@ -221,111 +223,6 @@ def _serve(
         index=index, record=True)
     engine.run()
     return engine, router.name
-
-
-def _runs(values: np.ndarray) -> Iterator[float]:
-    """Iterate ``values`` as floats, one float object per run of equal
-    values: a batch's members share their dispatch and finish instants,
-    and most formation waits are zero."""
-    if not values.size:
-        return iter(())
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    lengths = np.diff(np.append(starts, values.size))
-    return chain.from_iterable(map(repeat, values[starts].tolist(),
-                                   lengths.tolist()))
-
-
-def _requests(engine, columns: RequestColumns,
-              source: list[Request] | None) -> list[Request]:
-    """One :class:`Request` per stream entry, timings filled in.
-
-    ``source`` is the caller's stream in stream order, if it gave one;
-    the copies share its index and arrival objects. Each tenant's
-    recorded columns are released once its requests are filled in.
-    """
-    labels = [*engine.labels, ""]
-    # Requests hold no reference cycles, so a collection triggered by
-    # building millions of them could free nothing; pause the collector.
-    paused = gc.isenabled()
-    gc.disable()
-    try:
-        out = (columns.to_requests() if source is None else
-               [Request(r.index, r.arrival, r.tenant) for r in source])
-    finally:
-        if paused:
-            gc.enable()
-    for t in range(len(columns.tenants)):
-        positions = engine.order[engine.bounds[t]:engine.bounds[t + 1]].tolist()
-        for p, dispatch, finish, group, size, formation, degraded in zip(
-                positions, _runs(engine.disp_t[t]), _runs(engine.fin_t[t]),
-                engine.grp_t[t].tolist(), engine.bs_t[t].tolist(),
-                _runs(engine.form_t[t]), engine.deg_t[t].tolist()):
-            req = out[p]
-            req.dispatch, req.finish, req.device = dispatch, finish, labels[group]
-            req.batch_size, req.formation_wait = size, formation
-            req.degraded = degraded
-        for i in np.flatnonzero(np.isnan(engine.lat_t[t])).tolist():
-            req = out[positions[i]]  # shed: no timing
-            req.dispatch = req.finish = math.nan
-            req.device, req.batch_size, req.formation_wait = "", 0, 0.0
-            req.shed, req.degraded = True, False
-        for column in (engine.disp_t, engine.fin_t, engine.form_t,
-                       engine.grp_t, engine.bs_t, engine.deg_t, engine.lat_t):
-            column[t] = None
-    for (t, i), count in engine.retries.items():
-        out[engine.order[engine.bounds[t] + i]].retries = count
-    return out
-
-
-def _report(
-    engine,
-    columns: RequestColumns,
-    source: list[Request] | None,
-    policy_name: str,
-    router_name: str,
-    arrival_rate: float | None,
-    tenant_breakdown: bool = True,
-    finetune_stats: dict | None = None,
-    inference_slowdown: float = 1.0,
-    fault_stats: FaultStats | None = None,
-) -> ServingReport:
-    """Collapse the engine's columns and slot accounting into a report.
-
-    Latency statistics cover completed requests; ``n_requests`` stays
-    the issued total and throughput counts only completed requests. The
-    empty stream gives an all-zero, well-formed report.
-    """
-    from repro.serving.fleet import _summary, _tenant_stats
-
-    summary = _summary(engine)[0]
-    tenant_stats = _tenant_stats(engine) if tenant_breakdown else {}
-    makespan = engine.makespan
-    device_stats = {
-        label: DeviceStats(
-            slot=label,
-            device=engine.gdev[g],
-            batches=engine.batches[g],
-            requests=engine.requests[g],
-            busy_time=engine.busy[g],
-            utilization=engine.busy[g] / makespan if makespan > 0 else 0.0,
-            mean_batch=(engine.requests[g] / engine.batches[g]
-                        if engine.batches[g] else 0.0),
-            batch_histogram=dict(sorted(engine.hist[g].items())),
-        )
-        for g, label in enumerate(engine.labels)
-    }
-    return ServingReport(
-        policy=policy_name,
-        router=router_name,
-        arrival_rate=arrival_rate,
-        **summary,
-        device_stats=device_stats,
-        requests=_requests(engine, columns, source),
-        tenant_stats=tenant_stats,
-        finetune_stats=finetune_stats or {},
-        inference_slowdown=inference_slowdown,
-        fault_stats=fault_stats,
-    )
 
 
 def simulate(
@@ -375,11 +272,8 @@ def simulate(
                              ("",))
     engine, router_name = _serve(tenants, tuple(devices), columns, None,
                                  router, faults, retry)
-    fault_stats = (engine.fault_stats()
-                   if faults is not None or retry is not None else None)
-    return _report(engine, columns, None, policy.name, router_name,
-                   arrival_rate, tenant_breakdown=False,
-                   fault_stats=fault_stats)
+    return _report(engine, policy.name, router_name, arrival_rate, columns,
+                   tenants=False)
 
 
 def simulate_mixed(
@@ -482,22 +376,6 @@ def simulate_mixed(
 
     engine, router_name = _serve(tenants, tuple(devices), columns, index,
                                  router, faults, retry, slowdown)
-    fault_stats = None
-    if (faults is not None or retry is not None
-            or any(spec.degraded is not None for spec in tenants)):
-        fault_stats = engine.fault_stats()
-    finetune_stats = None
-    if finetune:
-        from repro.serving.finetune import finetune_progress
-
-        down_windows = None
-        if fault_stats is not None:
-            down_windows = {label: stats.down_windows
-                            for label, stats in fault_stats.devices.items()
-                            if stats.down_windows}
-        finetune_stats = finetune_progress(
-            finetune, dict(zip(engine.labels, engine.gdev)), engine.makespan,
-            down_windows=down_windows)
-    return _report(engine, columns, source, f"mixed({len(tenants)} tenants)",
-                   router_name, arrival_rate, finetune_stats=finetune_stats,
-                   inference_slowdown=slowdown, fault_stats=fault_stats)
+    return _report(engine, f"mixed({len(tenants)} tenants)", router_name,
+                   arrival_rate, columns, source=source, finetune=finetune,
+                   slowdown=slowdown)

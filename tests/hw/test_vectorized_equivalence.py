@@ -1,7 +1,7 @@
 """Golden equivalence: vectorized engine == scalar reference, everywhere.
 
 The columnar :class:`~repro.hw.engine.ExecutionEngine` must reproduce the
-scalar reference path (:mod:`repro.hw.reference`) to 1e-9 relative
+scalar reference path (``tests/hw/scalar_reference.py``) to 1e-9 relative
 tolerance on *every* ``ExecutionReport`` field — scalars, per-stage /
 per-modality / per-category aggregations, counters, stalls, histograms
 and per-kernel records — across all nine registry workloads and the three
@@ -14,9 +14,10 @@ import pytest
 
 from repro.hw.device import DEVICES, get_device
 from repro.hw.engine import ExecutionEngine
-from repro.hw.reference import ScalarExecutionEngine
 from repro.trace.store import TraceStore
 from repro.workloads.registry import list_workloads
+
+from tests.hw.scalar_reference import ScalarExecutionEngine
 
 REL = 1e-9
 WORKLOADS = list_workloads()

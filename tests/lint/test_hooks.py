@@ -129,3 +129,16 @@ class TestSuiteLint:
         plan = FaultPlan(events=(DeviceRecover("nano", 0.1),))
         report = BenchmarkSuite().lint(plan)
         assert "MMB401" in report.codes()
+
+    def test_suite_lints_pool_reports_and_refuses_fleet_reports(self):
+        from repro.core.suite import BenchmarkSuite
+        from repro.serving.fleet import simulate_fleet
+
+        suite = BenchmarkSuite()
+        pool = simulate_mixed(TestSimulateMixedHook._tenants(), devices=("2080ti", "nano"),
+                              n_requests=200, arrival_rate=1000.0)
+        assert suite.lint(pool).ok
+        fleet = simulate_fleet(TestSimulateMixedHook._tenants(), "2080ti:2,nano:1",
+                               n_requests=200, arrival_rate=1000.0)
+        with pytest.raises(ValueError, match="simulate/simulate_mixed report"):
+            suite.lint(fleet)

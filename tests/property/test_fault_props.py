@@ -60,8 +60,8 @@ def assert_reports_identical(base, faulted):
     assert faulted.p50_latency == base.p50_latency
     assert faulted.p99_latency == base.p99_latency
     assert faulted.mean_formation_wait == base.mean_formation_wait
-    for slot in base.device_stats:
-        b, f = base.device_stats[slot], faulted.device_stats[slot]
+    for slot in base.group_stats:
+        b, f = base.group_stats[slot], faulted.group_stats[slot]
         assert f.batch_histogram == b.batch_histogram
         assert f.busy_time == b.busy_time
     for rb, rf in zip(base.requests, faulted.requests):

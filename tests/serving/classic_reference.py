@@ -29,8 +29,9 @@ from repro.serving.faults import (DegradedMode, DeviceFaultStats, FaultPlan,
 from repro.serving.policies import BatchingPolicy
 from repro.serving.request import Request, closed_arrivals, make_requests, poisson_arrivals
 from repro.serving.router import EarliestFinishRouter, Router
-from repro.serving.simulator import (DeviceStats, ServingReport, TenantSpec,
-                                     TenantStats, slot_labels)
+from repro.serving.fleet import GroupStats
+from repro.serving.simulator import (ServingReport, TenantSpec, TenantStats,
+                                     slot_labels)
 
 
 class FaultRuntime:
@@ -718,14 +719,19 @@ def _summarize(
         p50 = p95 = p99 = 0.0
         mean_latency = mean_queue = mean_formation = mean_service = 0.0
     stats = {
-        s.label: DeviceStats(
-            slot=s.label,
+        s.label: GroupStats(
+            group=s.label,
             device=s.device,
+            replicas=1,
+            peak_replicas=1,
+            mean_replicas=1.0,
             batches=s.batches,
             requests=s.requests,
             busy_time=s.busy_time,
             utilization=s.busy_time / makespan if makespan > 0 else 0.0,
             mean_batch=s.requests / s.batches if s.batches else 0.0,
+            hop_batches=0,
+            hop_time=0.0,
             batch_histogram=dict(sorted(s.histogram.items())),
         )
         for s in slots
@@ -749,7 +755,8 @@ def _summarize(
         mean_queue_time=mean_queue,
         mean_formation_wait=mean_formation,
         mean_service_time=mean_service,
-        device_stats=stats,
+        group_stats=stats,
+        latencies=latencies,
         requests=requests,
         tenant_stats=tenant_stats,
         finetune_stats=finetune_stats or {},

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core.cli import main
 
 
@@ -207,20 +209,20 @@ class TestServeFaults:
 class TestServeFleetCommand:
     def test_fleet_run_reports_groups_and_conservation(self, capsys):
         code = main([
-            "serve", "--fleet", "--groups", "2080ti:4,nano:2",
+            "serve", "--groups", "2080ti:4,nano:2",
             "--workloads", "avmnist,mmimdb", "--policy", "adaptive",
             "--n-requests", "2000", "--arrival-rate", "3000",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "fleet mix=" in out
+        assert "groups=2080ti:4,nano:2" in out
         assert "issued (conserved)" in out
-        assert "Per-group fleet breakdown" in out
+        assert "Per-group breakdown" in out
         assert "2080ti" in out and "nano" in out
 
     def test_fleet_autoscale_flags(self, capsys):
         code = main([
-            "serve", "--fleet", "--groups", "2080ti:1:6",
+            "serve", "--groups", "2080ti:1:6",
             "--workloads", "transfuser", "--policy", "fixed",
             "--batch-size", "8", "--n-requests", "3000",
             "--arrival-rate", "6000", "--autoscale", "queue:16:0.02:0.04",
@@ -232,7 +234,7 @@ class TestServeFleetCommand:
 
     def test_fleet_chaos_scenario(self, capsys):
         code = main([
-            "serve", "--fleet", "--groups", "2080ti:2,nano:2",
+            "serve", "--groups", "2080ti:2,nano:2",
             "--workloads", "avmnist", "--policy", "fixed", "--batch-size", "8",
             "--n-requests", "2000", "--arrival-rate", "1500",
             "--faults", "single-failure",
@@ -242,19 +244,19 @@ class TestServeFleetCommand:
         assert "issued (conserved)" in out
 
     def test_fleet_requires_groups(self, capsys):
-        code = main(["serve", "--fleet", "--workloads", "avmnist",
+        code = main(["serve", "--workloads", "avmnist",
                      "--n-requests", "100"])
         assert code == 2
         assert "--groups" in capsys.readouterr().err
 
     def test_fleet_rejects_bad_group_spec(self, capsys):
-        code = main(["serve", "--fleet", "--groups", "2080ti",
+        code = main(["serve", "--groups", "2080ti",
                      "--workloads", "avmnist", "--n-requests", "100"])
         assert code == 2
         assert "bad group spec" in capsys.readouterr().err
 
     def test_fleet_rejects_bad_autoscale_spec(self, capsys):
-        code = main(["serve", "--fleet", "--groups", "2080ti:2",
+        code = main(["serve", "--groups", "2080ti:2",
                      "--workloads", "avmnist", "--n-requests", "100",
                      "--arrival-rate", "500", "--autoscale", "cpu:10"])
         assert code == 2
@@ -263,7 +265,7 @@ class TestServeFleetCommand:
     def test_fleet_runs_stall_scenarios(self, capsys):
         # flaky-device flaps the last group down and up with stalls in
         # between; fleet runs take the same fault plans as --mix runs.
-        code = main(["serve", "--fleet", "--groups", "2080ti:2,nano:2",
+        code = main(["serve", "--groups", "2080ti:2,nano:2",
                      "--workloads", "avmnist", "--policy", "fixed",
                      "--batch-size", "8", "--n-requests", "2000",
                      "--arrival-rate", "1500", "--faults", "flaky-device"])
@@ -273,8 +275,32 @@ class TestServeFleetCommand:
         assert "= 2,000 issued (conserved)" in out
 
     def test_fleet_rejects_round_robin_router(self, capsys):
-        code = main(["serve", "--fleet", "--groups", "2080ti:2",
+        code = main(["serve", "--groups", "2080ti:2",
                      "--workloads", "avmnist", "--n-requests", "100",
                      "--router", "round-robin"])
         assert code == 2
         assert "router" in capsys.readouterr().err
+
+
+class TestServeFlagRejection:
+    """A flag only some front ends take exits 2 on any other front end
+    instead of being silently ignored."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--workload", "avmnist", "--groups", "2080ti:4",
+         "--autoscale", "queue:4", "--hop-bytes", "100"],
+        ["--mix", "uniform", "--groups", "2080ti:4", "--autoscale-max", "9",
+         "--hop-bytes", "100"],
+        ["--groups", "2080ti:2", "--devices", "orin",
+         "--finetune-share", "0.9"],
+        ["--workload", "avmnist", "--finetune-workloads", "mmimdb"],
+        ["--groups", "2080ti:2", "--mix", "finetune", "--workloads", "avmnist",
+         "--arrival-rate", "1000"],
+    ], ids=["workload-on-groups", "autoscale-max-without-autoscale",
+            "devices-on-groups", "finetune-on-single", "finetune-mix-on-groups"])
+    def test_inapplicable_flags_exit_2(self, argv, capsys):
+        code = main(["serve", *argv, "--n-requests", "200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1

@@ -96,8 +96,10 @@ def assert_same_run(got, want) -> None:
 
     assert got.makespan == pytest.approx(want.makespan, abs=TOL)
     assert got.p99_latency == pytest.approx(want.p99_latency, abs=TOL)
-    for slot, sw in want.device_stats.items():
-        sg = got.device_stats[slot]
+    assert got.slo_attainment(0.05) == pytest.approx(want.slo_attainment(0.05),
+                                                     abs=TOL)
+    for slot, sw in want.group_stats.items():
+        sg = got.group_stats[slot]
         assert sg.batch_histogram == sw.batch_histogram, slot
         assert sg.busy_time == pytest.approx(sw.busy_time, abs=TOL), slot
 

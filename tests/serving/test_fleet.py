@@ -12,6 +12,8 @@ decisions at identical instants.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -163,7 +165,7 @@ def test_differential_fleet_scale_slo_regime():
         np.sort(fleet.latencies),
         np.sort([r.latency for r in classic.requests]), rtol=1e-9, atol=1e-9)
     for name, got in fleet.group_stats.items():
-        slots = [s for s in classic.device_stats.values() if s.device == name]
+        slots = [s for s in classic.group_stats.values() if s.device == name]
         assert got.batches == sum(s.batches for s in slots) > 0, name
         assert got.requests == sum(s.requests for s in slots), name
         assert got.busy_time == pytest.approx(
@@ -516,10 +518,52 @@ def test_hop_costs_charged_on_group_moves():
 
 
 def test_fleet_summary_renders():
-    from repro.serving import fleet_summary
+    from repro.serving import report_summary
 
     report = overloaded(autoscale=AutoscalePolicy(threshold=20.0))
-    text = fleet_summary(report)
+    text = report_summary(report)
     assert "issued (conserved)" in text
-    assert "Per-group fleet breakdown" in text
+    assert "Per-group breakdown" in text
     assert "autoscaling:" in text
+
+
+# -- one answer, one type: simulate_fleet on replica-1 groups == simulate_mixed ------------------
+
+
+SCALAR_FIELDS = (
+    "policy", "router", "n_requests", "arrival_rate", "makespan", "throughput",
+    "mean_latency", "p50_latency", "p95_latency", "p99_latency",
+    "mean_queue_time", "mean_formation_wait", "mean_service_time",
+    "scaling_events", "finetune_stats", "inference_slowdown", "fault_stats",
+)
+
+
+@pytest.mark.parametrize("plan", [
+    None,
+    FaultPlan(events=(ThermalThrottle(device="2080ti", time=0.02, until=0.10,
+                                      factor=2.0),)),
+], ids=["fault-free", "throttle"])
+def test_fleet_and_mixed_reports_are_one_type(plan):
+    fleet = simulate_fleet(three_workloads(), "2080ti:1,orin:1,nano:1",
+                           n_requests=20_000, arrival_rate=100e3, seed=0,
+                           faults=plan)
+    mixed = simulate_mixed(three_workloads(), devices=("2080ti", "orin", "nano"),
+                           n_requests=20_000, arrival_rate=100e3, seed=0,
+                           faults=plan)
+    assert type(fleet) is type(mixed)
+    for name in SCALAR_FIELDS:
+        assert getattr(fleet, name) == getattr(mixed, name), name
+    assert fleet.tenant_stats == mixed.tenant_stats
+    np.testing.assert_array_equal(fleet.latencies, mixed.latencies)
+    assert fleet.group_stats.keys() == mixed.group_stats.keys()
+    for label, got in fleet.group_stats.items():
+        want = mixed.group_stats[label]
+        assert got.batch_histogram == {} and want.batch_histogram
+        assert dataclasses.replace(got, batch_histogram=want.batch_histogram) == want
+    # Only the pool front end records the per-request view.
+    assert fleet.requests is None
+    assert len(mixed.requests) == mixed.n_requests == 20_000
+    for slo in (1e-3, 5e-3, 50e-3):
+        walk = sum(1 for r in mixed.requests if not r.shed and r.latency <= slo)
+        assert fleet.slo_attainment(slo) == mixed.slo_attainment(slo) == (
+            walk / len(mixed.requests))

@@ -63,9 +63,9 @@ class TestMixedDispatch:
         assert mixed.makespan == plain.makespan
         assert mixed.mean_latency == plain.mean_latency
         assert mixed.p99_latency == plain.p99_latency
-        for slot in plain.device_stats:
-            assert (mixed.device_stats[slot].batch_histogram
-                    == plain.device_stats[slot].batch_histogram)
+        for slot in plain.group_stats:
+            assert (mixed.group_stats[slot].batch_histogram
+                    == plain.group_stats[slot].batch_histogram)
 
     def test_replaying_one_stream_leaves_prior_reports_intact(self):
         from repro.serving import scenario_requests

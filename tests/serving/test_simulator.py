@@ -32,15 +32,15 @@ class TestClosedBatch:
                           n_requests=100)
         # 10 batches of 10: each 50us + 100us = 150us.
         assert report.makespan == pytest.approx(10 * 150e-6)
-        assert report.device_stats["d0"].utilization == pytest.approx(1.0)
+        assert report.group_stats["d0"].utilization == pytest.approx(1.0)
 
     def test_two_identical_devices_halve_makespan(self):
         one = simulate(affine, FixedBatchPolicy(10), devices=("d",), n_requests=100)
         two = simulate(affine, FixedBatchPolicy(10), devices=("d", "d"),
                        n_requests=100)
         assert two.makespan == pytest.approx(one.makespan / 2)
-        assert set(two.device_stats) == {"d#0", "d#1"}
-        assert all(s.requests == 50 for s in two.device_stats.values())
+        assert set(two.group_stats) == {"d#0", "d#1"}
+        assert all(s.requests == 50 for s in two.group_stats.values())
 
     def test_larger_batches_raise_throughput(self):
         cost = CallableCostModel(affine)
@@ -112,8 +112,8 @@ class TestAccounting:
         held = simulate(affine, TimeoutBatchPolicy(16, 2e-3), devices=("d",),
                         n_requests=500, arrival_rate=5_000.0, seed=1)
         assert held.mean_formation_wait > 0.0
-        assert held.device_stats["d"].mean_batch > eager.device_stats["d"].mean_batch
-        assert held.device_stats["d"].batches < eager.device_stats["d"].batches
+        assert held.group_stats["d"].mean_batch > eager.group_stats["d"].mean_batch
+        assert held.group_stats["d"].batches < eager.group_stats["d"].batches
 
     def test_percentiles_ordered_and_attainment_monotone(self):
         report = simulate(affine, FixedBatchPolicy(8), devices=("d",),
@@ -126,7 +126,7 @@ class TestAccounting:
     def test_batch_histogram_consistent(self):
         report = simulate(affine, FixedBatchPolicy(10), devices=("d",),
                           n_requests=105)
-        stats = report.device_stats["d"]
+        stats = report.group_stats["d"]
         assert sum(k * n for k, n in stats.batch_histogram.items()) == 105
         assert sum(stats.batch_histogram.values()) == stats.batches
         assert report.batch_sizes_used()["d"] == [5, 10]
@@ -137,12 +137,12 @@ class TestRouting:
         report = simulate(HeteroCost(), FixedBatchPolicy(8),
                           devices=("fast", "slow"), n_requests=400,
                           arrival_rate=50_000.0, seed=0)
-        assert report.device_stats["fast"].requests > 2 * report.device_stats["slow"].requests
+        assert report.group_stats["fast"].requests > 2 * report.group_stats["slow"].requests
 
     def test_round_robin_spreads_evenly_on_identical_devices(self):
         report = simulate(affine, FixedBatchPolicy(10), devices=("d", "d"),
                           n_requests=200, router=RoundRobinRouter())
-        counts = [s.requests for s in report.device_stats.values()]
+        counts = [s.requests for s in report.group_stats.values()]
         assert counts[0] == counts[1] == 100
 
     def test_hold_on_one_device_still_offers_the_others(self):
@@ -159,7 +159,7 @@ class TestRouting:
                           devices=("fast", "slow"), n_requests=200,
                           arrival_rate=200.0, router=RoundRobinRouter(), seed=0)
         assert report.slo_attainment(50e-3) > 0.99
-        assert report.device_stats["fast"].requests > report.device_stats["slow"].requests
+        assert report.group_stats["fast"].requests > report.group_stats["slow"].requests
 
     def test_round_robin_rotates_per_dispatch_not_per_offer(self):
         router = RoundRobinRouter()
@@ -221,8 +221,8 @@ class TestRouterPolicyPaths:
         # same instant — the per-device hold loop at work.
         policy = _PickyPolicy("b")
         report = simulate(affine, policy, devices=("a", "b"), n_requests=3)
-        assert report.device_stats["b"].requests == 3
-        assert report.device_stats["a"].requests == 0
+        assert report.group_stats["b"].requests == 3
+        assert report.group_stats["a"].requests == 0
         b_offers = [i for i, (_, dev) in enumerate(policy.offers) if dev == "b"]
         for i in b_offers:
             assert policy.offers[i - 1][1] == "a"
@@ -294,8 +294,8 @@ class TestEmptySimulation:
         assert report.throughput == 0.0
         assert report.mean_latency == 0.0
         assert report.p99_latency == 0.0
-        assert set(report.device_stats) == {"d0", "d1"}
-        for stats in report.device_stats.values():
+        assert set(report.group_stats) == {"d0", "d1"}
+        for stats in report.group_stats.values():
             assert stats.batches == 0 and stats.requests == 0
             assert stats.utilization == 0.0 and stats.mean_batch == 0.0
         assert report.batch_sizes_used() == {"d0": [], "d1": []}
