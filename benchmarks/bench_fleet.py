@@ -1,8 +1,8 @@
-"""Benchmark: the fleet engine in two load regimes, against its gates.
+"""Benchmark: the fleet engine in three load regimes, two of them gated.
 
 Measures the fleet-scale serving layer (:mod:`repro.serving.fleet`) on
 all nine registry workloads served as tenants of three homogeneous
-device groups — 64x 2080ti, 32x orin, 16x nano — in two regimes:
+device groups — 64x 2080ti, 32x orin, 16x nano — in three regimes:
 
 * **saturated** — ten million requests at 10M req/s under fixed-512
   batching. This measures *engine capacity*: bulk arrival absorption,
@@ -17,13 +17,18 @@ device groups — 64x 2080ti, 32x orin, 16x nano — in two regimes:
   the same 112 devices in the same run (earliest-finish router, the
   configuration the engine reproduces), and the engine must beat it by
   ``--slo-speedup``.
+* **light** — 100k requests at 20k req/s under the same adaptive
+  policy: arrivals find idle replicas and empty queues, so every batch
+  is one request and every request costs two epochs (its arrival and
+  its completion). Report-only: the per-request cost here is what bulk
+  assignment of idle-replica arrival runs would cut.
 
 Run from the repo root::
 
     python benchmarks/bench_fleet.py [--n-requests 10000000] [-o FILE]
 
 Emits ``BENCH_fleet.json``: the saturated regime's figures at the top
-level plus an ``slo_regime`` object::
+level plus ``slo_regime`` and ``light_regime`` objects::
 
     {
       "n_requests": 10000000,
@@ -33,13 +38,15 @@ level plus an ``slo_regime`` object::
       "groups_detail": {"2080ti": {"replicas": 64, ...}, ...},
       "tenants": {"avmnist": {"requests": ..., ...}, ...},
       "slo_regime": {"fleet_req_per_s": ..., "classic_req_per_s": ...,
-                     "speedup": ..., ...}
+                     "speedup": ..., ...},
+      "light_regime": {"fleet_req_per_s": ..., "us_per_request": ...,
+                       "mean_batch": ..., ...}
     }
 
 Exits non-zero if the saturated simulation exceeds ``--budget`` seconds
 or falls below ``--floor`` simulated requests per second, if the
 SLO-meeting regime's fleet/classic speedup falls below
-``--slo-speedup``, or if either regime drops requests (completions must
+``--slo-speedup``, or if any regime drops requests (completions must
 be conserved).
 """
 
@@ -71,6 +78,8 @@ SLO = 50e-3
 BATCH = 512
 SLO_RATE = 200_000.0
 SLO_REQUESTS = 200_000
+LIGHT_RATE = 20_000.0
+LIGHT_REQUESTS = 100_000
 
 
 def build_tenants(policy_factory, groups, seed):
@@ -233,6 +242,49 @@ def run_slo(args, groups) -> tuple[dict, list[str]]:
     return payload, failures
 
 
+def run_light(args, groups) -> tuple[dict, list[str]]:
+    tenants = build_tenants(lambda _w: AdaptiveSLOPolicy(SLO), groups,
+                            args.seed)
+
+    def fleet(n):
+        columns = scenario_columns(args.scenario, tenants, n,
+                                   arrival_rate=LIGHT_RATE, seed=args.seed)
+        t0 = time.perf_counter()
+        report = simulate_fleet(tenants, groups, columns=columns,
+                                arrival_rate=LIGHT_RATE, seed=args.seed)
+        return report, time.perf_counter() - t0
+
+    fleet(5_000)  # untimed: warms the dense tables and drain memos
+    report, wall_s = fleet(LIGHT_REQUESTS)
+    rate = report.n_requests / wall_s
+    mean_batch = report.n_requests / sum(
+        s.batches for s in report.group_stats.values())
+    attainment = min(s.slo_attainment for s in report.tenant_stats.values())
+    print(f"light, {args.scenario}: {LIGHT_REQUESTS:,} requests at "
+          f"{LIGHT_RATE:,.0f} req/s, mean batch {mean_batch:.2f}, mean queue "
+          f"{report.mean_queue_time * 1e6:.1f} us")
+    print(f"fleet {wall_s:.2f}s ({rate:,.0f} req/s, "
+          f"{wall_s / report.n_requests * 1e6:.1f} us/request)")
+    payload = {
+        "n_requests": LIGHT_REQUESTS,
+        "arrival_rate": LIGHT_RATE,
+        "policy": f"adaptive({SLO:g}s)",
+        "mean_batch": round(mean_batch, 3),
+        "mean_queue_time_s": report.mean_queue_time,
+        "min_slo_attainment": attainment,
+        "utilization": {name: round(s.utilization, 4)
+                        for name, s in report.group_stats.items()},
+        "fleet_wall_s": round(wall_s, 3),
+        "fleet_req_per_s": round(rate),
+        "us_per_request": round(wall_s / report.n_requests * 1e6, 2),
+    }
+    failures = []
+    if report.completed != LIGHT_REQUESTS:
+        failures.append(f"light: completed {report.completed:,} of "
+                        f"{LIGHT_REQUESTS:,} requests (conservation broken)")
+    return payload, failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-requests", type=int, default=10_000_000)
@@ -256,9 +308,11 @@ def main(argv: list[str] | None = None) -> int:
     groups = parse_groups(args.groups)
     saturated, failures = run_saturated(args, groups)
     slo, slo_failures = run_slo(args, groups)
-    failures += slo_failures
+    light, light_failures = run_light(args, groups)
+    failures += slo_failures + light_failures
 
-    payload = {"bench": "fleet", **saturated, "slo_regime": slo}
+    payload = {"bench": "fleet", **saturated, "slo_regime": slo,
+               "light_regime": light}
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
     for failure in failures:

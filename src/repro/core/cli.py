@@ -22,6 +22,7 @@ cache, shared across runs); each prints a trace-store cache-stats line.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -256,15 +257,17 @@ def _cmd_serve(args) -> int:
                                timeout=args.timeout, slo=args.slo,
                                max_batch=args.max_batch)
 
-        policies = {make(name).name: name for name in args.policy.split(",")}
         if args.n_requests <= 0:
             raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        if args.arrival_rate is not None and args.arrival_rate <= 0:
-            raise ValueError("--arrival-rate must be positive")
+        if args.arrival_rate is not None and not (
+                math.isfinite(args.arrival_rate) and args.arrival_rate > 0):
+            raise ValueError(f"--arrival-rate must be positive and finite, "
+                             f"got {args.arrival_rate}")
         if args.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        if args.slo <= 0:
-            raise ValueError(f"--slo must be positive, got {args.slo}")
+        if not (math.isfinite(args.slo) and args.slo > 0):
+            raise ValueError(f"--slo must be positive and finite, got {args.slo}")
+        policies = {make(name).name: name for name in args.policy.split(",")}
         if front == "single":
             workloads = (args.workload or "avmnist",)
             info = get_workload(workloads[0])

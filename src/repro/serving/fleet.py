@@ -296,6 +296,27 @@ _MAX_TABLE = 4096
 # Arrival slices up to this many requests are counted in Python;
 # larger ones (saturated epochs) go through one ``bincount``.
 _SMALL_SLICE = 16
+# numpy sums fewer doubles than this from 0.0 strictly left to right;
+# from here on its unrolled pairwise sum reassociates.
+_PAIRWISE = 8
+
+
+def _fold_small(arrivals: list[float], now: float,
+                idle_since: float) -> tuple[float, float]:
+    """``(arr.sum(), np.minimum(now - arr, now - idle_since).sum())`` for
+    fewer than ``_PAIRWISE`` arrivals, bit for bit, in one Python loop.
+
+    Both numpy sums start from 0.0 and add left to right below
+    ``_PAIRWISE`` members, and ``np.minimum(x, y)`` is ``x if x < y
+    else y`` on finite inputs (signed zeros included).
+    """
+    asum = form = 0.0
+    idle_wait = now - idle_since
+    for a in arrivals:
+        asum += a
+        wait = now - a
+        form += wait if wait < idle_wait else idle_wait
+    return asum, form
 
 
 def _dense_curve(cost, device: str, max_k: int) -> np.ndarray | None:
@@ -669,25 +690,40 @@ class _FleetEngine:
         return (self.tick_count + 1) * self.autoscale.interval
 
     def _next_time(self, now: float) -> float:
-        """Earliest instant after ``now`` at which anything can change."""
-        candidates = [self._next_tick()]
-        if self.pending_wakeup is not None:
-            candidates.append(self.pending_wakeup)
-        if self.next_edge_t < math.inf:
-            candidates.append(self.next_edge_t)
+        """Earliest instant after ``now`` at which anything can change.
+
+        The candidates are the next autoscale tick, a pending policy
+        wakeup, the next fault edge, the next batch completion and the
+        next retry; the next arrival joins them only if it would win and
+        some active replica is idle (else nothing can dispatch it).
+        """
+        tick = self._next_tick()
+        best = tick if now < tick else math.inf
+        wake = self.pending_wakeup
+        if wake is not None and now < wake < best:
+            best = wake
+        if now < self.next_edge_t < best:
+            best = self.next_edge_t
         if self.busy_heap:
             # Entries at or before ``now`` were drained in _absorb, so
             # the heap top is the next batch completion across the fleet.
-            candidates.append(self.busy_heap[0][0])
+            finish = self.busy_heap[0][0]
+            if now < finish < best:
+                best = finish
         if self.retry_heap:
-            candidates.append(self.retry_heap[0][0])
-        down = self.down
-        if any(h and not down[g] for g, h in enumerate(self.idle_heap)):
-            # Some active replica is idle right now; between here and the
-            # next free event nothing busies it, so the next arrival (inf
-            # once the stream is exhausted) is a dispatch opportunity.
-            candidates.append(self.next_arr_t)
-        return min((c for c in candidates if c > now), default=math.inf)
+            retry = self.retry_heap[0][0]
+            if now < retry < best:
+                best = retry
+        arrival = self.next_arr_t
+        if now < arrival < best:
+            # Some active replica idle right now stays idle until the
+            # next free event, so the next arrival is a dispatch
+            # opportunity.
+            down = self.down
+            for g, heap in enumerate(self.idle_heap):
+                if heap and not down[g]:
+                    return arrival
+        return best
 
     def _absorb(self, now: float) -> None:
         """Absorb everything due at ``now``: completions, arrivals, ticks;
@@ -709,7 +745,7 @@ class _FleetEngine:
             # back up by the rebuild if the group scales out again.
         if self.next_arr_t <= now:
             old = self.next_arr
-            new_total = int(np.searchsorted(self.arr_all, now, side="right"))
+            new_total = int(self.arr_all.searchsorted(now, "right"))
             self.next_arr = new_total
             self.next_arr_t = (float(self.arr_all[new_total])
                                if new_total < self.n else math.inf)
@@ -1014,21 +1050,23 @@ class _FleetEngine:
     def _offer(self, now: float) -> None:
         """Offer queued work to idle groups until every policy holds.
 
-        Tenants go in oldest-head-first order (stable on ties, i.e. spec
-        order), groups in router order — earliest-finish ranks by
-        amortized per-request latency at the probe batch with a label
-        tie-break; the first (tenant, group) pair whose policy dispatches
-        restarts the scan.
+        Each pass first lists the idle groups (returning if none: about
+        half of all passes in the SLO regime), then the tenants with
+        queued work (returning if none). Tenants go in oldest-head-first
+        order (stable on ties, i.e. spec order), groups in router order —
+        earliest-finish ranks by amortized per-request latency at the
+        probe batch with a label tie-break; the first (tenant, group)
+        pair whose policy dispatches restarts the scan.
         """
         head, tail, down = self.head, self.tail, self.down
         labels, router, any_mode = self.labels, self.router, self.any_mode
         while True:
-            active = [t for t, h in enumerate(head) if h < tail[t]]
-            if not active:
-                return
             idle = [g for g, h in enumerate(self.idle_heap)
                     if h and not down[g]]
             if not idle:
+                return
+            active = [t for t, h in enumerate(head) if h < tail[t]]
+            if not active:
                 return
             if len(active) > 1:
                 active.sort(key=self.head_arr.__getitem__)
@@ -1114,8 +1152,11 @@ class _FleetEngine:
         # reduces to a min of two non-negative terms; it (and the queue
         # and service waits) only ever surface as means, so they fold
         # into scalar accumulators here rather than per-request buffers.
-        asum = float(batch_arr.sum())
-        form = float(np.minimum(now - batch_arr, now - idle_since).sum())
+        if end - start < _PAIRWISE:
+            asum, form = _fold_small(batch_arr.tolist(), now, idle_since)
+        else:
+            asum = float(batch_arr.sum())
+            form = float(np.minimum(now - batch_arr, now - idle_since).sum())
         if retried:
             for i in retried:
                 arrival = float(arr_t[i])

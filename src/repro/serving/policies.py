@@ -105,8 +105,8 @@ class AdaptiveSLOPolicy(BatchingPolicy):
     """
 
     def __init__(self, slo: float, max_batch: int = 512, safety: float = 0.8):
-        if slo <= 0:
-            raise ValueError(f"slo must be positive, got {slo}")
+        if not (math.isfinite(slo) and slo > 0):
+            raise ValueError(f"slo must be positive and finite, got {slo}")
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         if not 0 < safety <= 1:

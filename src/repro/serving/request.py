@@ -20,6 +20,7 @@ batches across tenants (different workloads cannot share a batch).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,8 +66,8 @@ def poisson_arrivals(n_requests: int, arrival_rate: float, seed: int = 0) -> np.
     """
     if n_requests < 0:
         raise ValueError(f"n_requests must be non-negative, got {n_requests}")
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
+    if not (math.isfinite(arrival_rate) and arrival_rate > 0):
+        raise ValueError(f"arrival_rate must be positive and finite, got {arrival_rate}")
     rng = np.random.default_rng(seed)
     return np.cumsum(rng.exponential(1.0 / arrival_rate, size=n_requests))
 

@@ -43,6 +43,7 @@ chaos scenario      fault shape
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -200,8 +201,9 @@ def scenario_columns(
     if spec.needs_rate and arrival_rate is None:
         raise ValueError(f"scenario {scenario!r} needs an arrival rate "
                          "(its traffic shape is time-varying)")
-    if arrival_rate is not None and arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
+    if arrival_rate is not None and not (math.isfinite(arrival_rate)
+                                         and arrival_rate > 0):
+        raise ValueError(f"arrival_rate must be positive and finite, got {arrival_rate}")
     names = [t.name for t in tenants]
     if n_requests == 0:
         return RequestColumns(np.empty(0), np.empty(0, dtype=np.int64), tuple(names))

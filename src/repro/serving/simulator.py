@@ -34,6 +34,7 @@ policy wake-up is scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -166,8 +167,8 @@ class TenantSpec:
             self.cost = CallableCostModel(self.cost)
         if self.weight <= 0:
             raise ValueError(f"tenant weight must be positive, got {self.weight}")
-        if self.slo is not None and self.slo <= 0:
-            raise ValueError(f"tenant slo must be positive, got {self.slo}")
+        if self.slo is not None and not (math.isfinite(self.slo) and self.slo > 0):
+            raise ValueError(f"tenant slo must be positive and finite, got {self.slo}")
         if self.degraded is not None and not isinstance(self.degraded, DegradedMode):
             raise TypeError(f"degraded must be a DegradedMode, "
                             f"got {type(self.degraded).__name__}")

@@ -304,3 +304,19 @@ class TestServeFlagRejection:
         assert code == 2
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--workload", "avmnist", "--arrival-rate", "nan"], "--arrival-rate"),
+        (["--workload", "avmnist", "--arrival-rate", "inf"], "--arrival-rate"),
+        (["--workload", "avmnist", "--slo", "nan"], "--slo"),
+        (["--mix", "uniform", "--arrival-rate", "1000", "--slo", "inf"], "--slo"),
+        (["--groups", "2080ti:2", "--workloads", "avmnist",
+          "--arrival-rate", "nan"], "--arrival-rate"),
+    ], ids=["rate-nan", "rate-inf", "slo-nan", "mix-slo-inf", "groups-rate-nan"])
+    def test_non_finite_values_exit_2(self, argv, flag, capsys):
+        code = main(["serve", *argv, "--n-requests", "200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and flag in lines[0] and "finite" in lines[0]

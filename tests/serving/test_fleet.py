@@ -42,6 +42,7 @@ from repro.serving.faults import (
     ThermalThrottle,
     TransientStall,
 )
+from repro.serving import fleet as fleet_module
 from repro.serving.fleet import _FleetEngine
 from repro.workloads.registry import list_workloads
 
@@ -190,6 +191,46 @@ def test_differential_throttle_window(make):
         devices=("2080ti", "2080ti", "nano", "nano"),
         n_requests=5_000, arrival_rate=1_200.0, seed=3, faults=plan)
     assert all(s.batches for s in fleet.group_stats.values())
+
+
+def test_slo_regime_means_are_pinned(monkeypatch):
+    # The scalar means fold per batch: below ``_PAIRWISE`` members in a
+    # Python loop, above it in numpy. Every tenant meets its SLO, most
+    # batches are small and some are not; the timeout tenant's batches
+    # wait on idle replicas, so the formation wait is nonzero. The
+    # literals were recorded before the Python fold existed.
+    small = []
+    fold = fleet_module._fold_small
+
+    def counting_fold(*args):
+        small.append(1)
+        return fold(*args)
+
+    monkeypatch.setattr(fleet_module, "_fold_small", counting_fold)
+    tenants = [
+        TenantSpec("adaptive", DeviceAwareCost(1.0), AdaptiveSLOPolicy(0.05),
+                   slo=0.05, weight=3.0),
+        TenantSpec("timeout", DeviceAwareCost(1.4), TimeoutBatchPolicy(12, 0.004),
+                   slo=0.05, weight=1.0),
+    ]
+    report = simulate_fleet(tenants, "2080ti:2,nano:1", n_requests=3_000,
+                            arrival_rate=1_000.0, seed=11)
+    batches = sum(s.batches for s in report.group_stats.values())
+    assert 0 < len(small) < batches
+    assert all(s.slo_attainment == 1.0 for s in report.tenant_stats.values())
+    got = {attr: float.hex(getattr(report, attr)) for attr in (
+        "mean_queue_time", "mean_formation_wait", "mean_service_time",
+        "makespan")}
+    got.update({name: float.hex(s.mean_queue_time)
+                for name, s in report.tenant_stats.items()})
+    assert got == {
+        "mean_queue_time": "0x1.00ba5a6a5f0fbp-8",
+        "mean_formation_wait": "0x1.2d758986c2d71p-17",
+        "mean_service_time": "0x1.9a7ca6d2f66b3p-7",
+        "makespan": "0x1.81b902a3a354ap+1",
+        "adaptive": "0x1.d9bfdde076e9dp-9",
+        "timeout": "0x1.3fd3abba81df3p-8",
+    }
 
 
 # -- config parsing and validation ----------------------------------------------------------------

@@ -119,6 +119,11 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             AdaptiveSLOPolicy(1.0, safety=1.5)
 
+    @pytest.mark.parametrize("slo", [math.nan, math.inf])
+    def test_non_finite_slo_raises(self, slo):
+        with pytest.raises(ValueError, match="finite"):
+            AdaptiveSLOPolicy(slo)
+
 
 class AnchorCost:
     """Anchor-curve cost model (the shape dense tables are built from)."""

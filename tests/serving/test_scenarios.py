@@ -1,5 +1,7 @@
 """Named traffic scenarios: mix shapes and arrival processes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.serving import (
     SCENARIO_NAMES,
     TenantSpec,
     get_scenario,
+    scenario_columns,
     scenario_requests,
 )
 from repro.serving.scenarios import make_tenants
@@ -112,6 +115,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             scenario_requests("uniform", tenants(), 10, arrival_rate=0.0)
         assert scenario_requests("uniform", tenants(), 0) == []
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_raises(self, rate):
+        for make in (scenario_requests, scenario_columns):
+            with pytest.raises(ValueError, match="finite"):
+                make("uniform", tenants(), 10, arrival_rate=rate)
 
 
 class TestMakeTenants:

@@ -1,5 +1,7 @@
 """Discrete-event serving simulator: dispatch mechanics and accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from repro.serving import (
     EarliestFinishRouter,
     FixedBatchPolicy,
     RoundRobinRouter,
+    TenantSpec,
     TimeoutBatchPolicy,
+    poisson_arrivals,
     simulate,
 )
 
@@ -278,6 +282,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="arrival_rate"):
             simulate(affine, FixedBatchPolicy(4), devices=("d",),
                      n_requests=10, arrival_rate=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rate_and_slo_raise(self, bad):
+        # ``bad <= 0`` is False for NaN; inf put every arrival at t=0.
+        with pytest.raises(ValueError, match="finite"):
+            poisson_arrivals(10, bad)
+        with pytest.raises(ValueError, match="finite"):
+            simulate(affine, FixedBatchPolicy(4), devices=("d",),
+                     n_requests=10, arrival_rate=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TenantSpec("t", affine, FixedBatchPolicy(4), slo=bad)
 
 
 class TestEmptySimulation:
